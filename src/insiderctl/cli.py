@@ -48,7 +48,7 @@ def _load_model(args) -> Model:
     try:
         with open(args.model, encoding="utf-8") as fh:
             model = parse_model(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read model file: {exc}")
     except ModelParseError as exc:
         raise CliError("model file is invalid:\n" + "\n".join(f"  {d}" for d in exc.diagnostics))
@@ -126,8 +126,11 @@ def _cmd_reach(args) -> int:
     print(f"states: {len(kripke.states)}")
     print(f"edges: {sum(len(e) for e in kripke.edges)}")
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot_export(kripke))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot_export(kripke))
+        except OSError as exc:
+            raise CliError(f"cannot write DOT file: {exc}")
         print(f"dot written to {args.dot}")
     return OK
 
@@ -176,6 +179,16 @@ def _cmd_scenario(args) -> int:
     return OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="insiderctl",
@@ -192,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="foe:LOC:ACTION:ID",
             help="add a foe-control assumption (repeatable)",
         )
-        p.add_argument("--max-states", type=int, help="state exploration cap")
+        p.add_argument("--max-states", type=_positive_int, help="state exploration cap")
 
     p = sub.add_parser("check", help="evaluate a CTL formula over the reachable states")
     model_opts(p)
@@ -242,6 +255,13 @@ def run_command(argv) -> int:
         return ERROR
     except (ModelError, ModelParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return ERROR
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
+        return ERROR
+    except Exception as exc:
+        # Exit 1 means "the check fails"; no unexpected fault may report it.
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return ERROR
 
 

@@ -1,9 +1,13 @@
 """Reachable state space construction and fixpoint-based CTL evaluation.
 
-States are canonical encodings of infrastructure snapshots (the policy map
+Each state is a snapshot (:class:`InfraGraph`) together with its key, a
+:class:`State` tuple of identities, location ids and tokens (the policy map
 lives in the model and never changes along a transition, so it is factored
 out).  The reachable set is explored breadth-first with deterministic
-indexing; state sets are plain ``frozenset`` of indices.
+indexing: :func:`successors` derives each successor's key from the source
+key and the rule's delta and looks it up in the table of known states first,
+so a snapshot is built and validated once per new state, not once per edge.
+State sets are plain ``frozenset`` of indices.
 
 The ten CTL operators are evaluated as least/greatest fixpoints of their
 standard set transformers:
@@ -21,8 +25,9 @@ Note on deadlocks: AX over an empty successor set is vacuously true, so a
 deadlock state satisfies ``AG f`` whenever it satisfies ``f``.
 
 In debug mode the engine spot-checks transformer monotonicity on random
-subset pairs and asserts the AG/EF duality (sat(AG f) equals the complement
-of sat(EF not-f)) on every AG query.
+subset pairs and checks the AG/EF duality (sat(AG f) equals the complement
+of sat(EF not-f)) on every AG query; both raise :class:`MonotonicityError`,
+also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .model import InfraGraph, Location, Model, ModelError, eval_predicate
-from .transition import TransitionLabel, successors
+from .model import InfraGraph, Model, ModelError, eval_predicate
+from .transition import State, TransitionLabel, encode, successors
 
 
 class ExplorationLimitError(RuntimeError):
@@ -40,48 +45,13 @@ class ExplorationLimitError(RuntimeError):
 
 class MonotonicityError(RuntimeError):
     """Raised when a fixpoint transformer misbehaves (non-monotone or
-    failing to converge within the guaranteed bound)."""
+    failing to converge within the guaranteed bound), or when the debug
+    AG/EF duality check finds two fixpoints that disagree."""
 
 
 class TraceError(ValueError):
     """Raised on witness/counterexample requests that do not match the
     formula shape or verdict."""
-
-
-# ---------------------------------------------------------------------------
-# Canonical states
-
-
-@dataclass(frozen=True)
-class State:
-    """Canonical, comparable encoding of a snapshot: sorted placements,
-    credential and role sets, and location values.  Graph edges are model
-    constants and not part of the encoding."""
-
-    placements: tuple
-    credentials: tuple
-    roles: tuple
-    values: tuple
-
-
-def encode(graph: InfraGraph) -> State:
-    return State(
-        placements=tuple(
-            (loc, graph.placements[loc])
-            for loc in sorted(graph.placements, key=lambda l: l.id)
-        ),
-        credentials=tuple(
-            (ident, tuple(sorted(graph.credentials[ident])))
-            for ident in sorted(graph.credentials)
-        ),
-        roles=tuple(
-            (ident, tuple(sorted(graph.roles[ident]))) for ident in sorted(graph.roles)
-        ),
-        values=tuple(
-            (loc, graph.loc_value[loc])
-            for loc in sorted(graph.loc_value, key=lambda l: l.id)
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +110,11 @@ def reachable(
 ) -> KripkeModel:
     """Breadth-first closure of the transition rules from the initial
     snapshot.  States are indexed by discovery order; raises
-    :class:`ExplorationLimitError` when ``max_states`` is exceeded."""
+    :class:`ExplorationLimitError` when ``max_states`` is exceeded.
+
+    ``index`` maps each state's key to its index and doubles as the
+    interning table of :func:`successors`, which builds a snapshot only for
+    a key not yet in it."""
     start = model.initial if initial is None else initial
     states: list[State] = [encode(start)]
     graphs: list[InfraGraph] = [start]
@@ -151,8 +125,7 @@ def reachable(
         nxt = []
         for i in frontier:
             out = []
-            for label, graph in successors(model, graphs[i]):
-                st = encode(graph)
+            for label, st, graph in successors(model, graphs[i], index):
                 j = index.get(st)
                 if j is None:
                     if max_states is not None and len(states) >= max_states:
@@ -165,12 +138,8 @@ def reachable(
                     graphs.append(graph)
                     nxt.append(j)
                 out.append((label, j))
-            while len(edges) <= i:
-                edges.append([])
-            edges[i] = out
+            edges.append(out)
         frontier = nxt
-    while len(edges) < len(states):
-        edges.append([])
     return KripkeModel(model, states, graphs, edges, frozenset({0}), index)
 
 
@@ -377,7 +346,8 @@ def eval_ctl(k: KripkeModel, formula: CtlFormula, *, debug: bool = False) -> fro
                     dual = lfp_iterate(
                         lambda z: complement | ex_step(z), universe, debug=False
                     )
-                    assert result == universe - dual, "AG/EF duality violated"
+                    if result != universe - dual:
+                        raise MonotonicityError("AG/EF duality violated")
                 return result
             case EU(left=a, right=b):
                 fa, fb = sat(a), sat(b)

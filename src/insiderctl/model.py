@@ -232,12 +232,6 @@ class InfraGraph:
     def roles_of(self, identity: str) -> frozenset[str]:
         return self.roles.get(identity, frozenset())
 
-    def locate(self, identity: str) -> Location | None:
-        for loc, idents in self.placements.items():
-            if identity in idents:
-                return loc
-        return None
-
     def actors(self) -> tuple[str, ...]:
         """All placed identities, in identity order."""
         return tuple(sorted(i for ids in self.placements.values() for i in ids))
@@ -351,6 +345,53 @@ def eval_condition(
             return eval_condition(left, graph, requester, resolver) or eval_condition(
                 right, graph, requester, resolver
             )
+    raise ModelError(f"unknown policy condition node {cond!r}")
+
+
+def _always(graph: InfraGraph, rep: str) -> bool:
+    return True
+
+
+def _never(graph: InfraGraph, rep: str) -> bool:
+    return False
+
+
+def compile_condition(cond: PolicyCondition, resolver: ActorResolver):
+    """``cond`` as a closure ``(graph, rep) -> bool``, where ``rep`` is the
+    representative of the requesting actor class.  Agrees with
+    :func:`eval_condition` on every graph and class, without walking the
+    condition tree or building :class:`ActorClassId` values per call."""
+    rep_of, members = resolver._rep, resolver._members
+    match cond:
+        case TrueCond():
+            return _always
+        case RequesterAt(loc=loc):
+            return lambda graph, rep: any(
+                rep_of.get(n, n) == rep for n in graph.placements.get(loc, ())
+            )
+        case HasCred(cred=cred):
+            return lambda graph, rep: any(
+                cred in graph.credentials.get(m, ()) for m in members.get(rep, (rep,))
+            )
+        case HasRole(role=role):
+            return lambda graph, rep: any(
+                role in graph.roles.get(m, ()) for m in members.get(rep, (rep,))
+            )
+        case IsIn(loc=loc, value=value):
+            return lambda graph, rep: graph.loc_value.get(loc) == value
+        case CountAtLeast(loc=loc, count=count):
+            return lambda graph, rep: len(graph.placements.get(loc, ())) >= count
+        case AllAtAuthorized(loc=loc, allowed=allowed):
+            return lambda graph, rep: allowed.issuperset(graph.placements.get(loc, ()))
+        case CondNot(arg=arg):
+            inner = compile_condition(arg, resolver)
+            return lambda graph, rep: not inner(graph, rep)
+        case CondAnd(left=left, right=right):
+            a, b = compile_condition(left, resolver), compile_condition(right, resolver)
+            return lambda graph, rep: a(graph, rep) and b(graph, rep)
+        case CondOr(left=left, right=right):
+            a, b = compile_condition(left, resolver), compile_condition(right, resolver)
+            return lambda graph, rep: a(graph, rep) or b(graph, rep)
     raise ModelError(f"unknown policy condition node {cond!r}")
 
 
@@ -545,6 +586,8 @@ class Model:
     named_predicates: dict = field(default_factory=dict)
     assumptions: tuple[FoeControl, ...] = ()
     resolver: ActorResolver = field(init=False, compare=False, repr=False)
+    # (location, action) -> compiled access judgment, built by enables().
+    _access: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.locations = tuple(by_id(self.locations))
@@ -701,17 +744,44 @@ def enables(
 
     An active foe-control assumption overrides the policies: the foe's class
     is denied whenever someone outside that class is present at the location.
+
+    The model's policies and assumptions are compiled into one closure per
+    granted ``(location, action)`` pair on first use and cached on the model.
     """
+    access = model._access
+    if access is None:
+        access = model._access = _compile_access(model)
+    return access.get((loc, action), _never)(graph, requester.representative)
+
+
+def _compile_access(model: Model) -> dict:
+    resolver = model.resolver
+    granted: dict = {}
+    for loc, policies in model.policy_map.items():
+        for pol in policies:
+            cond = compile_condition(pol.condition, resolver)
+            for action in pol.actions:
+                granted.setdefault((loc, action), []).append(cond)
+    foes: dict = {}
     for fc in model.assumptions:
-        if (
-            fc.location == loc
-            and fc.action == action
-            and requester == model.resolver.actor_of(fc.foe)
-            and any(model.resolver.actor_of(x) != requester for x in graph.placement(loc))
+        foes.setdefault((fc.location, fc.action), set()).add(
+            resolver.actor_of(fc.foe).representative
+        )
+    return {
+        (loc, action): _judge(loc, conds, foes.get((loc, action)), resolver._rep)
+        for (loc, action), conds in granted.items()
+    }
+
+
+def _judge(loc: Location, conds: list, foes: set | None, rep_of: dict):
+    if not foes and len(conds) == 1:
+        return conds[0]
+
+    def judge(graph: InfraGraph, rep: str) -> bool:
+        if foes and rep in foes and any(
+            rep_of.get(x, x) != rep for x in graph.placements.get(loc, ())
         ):
             return False
-    return any(
-        action in pol.actions
-        and eval_condition(pol.condition, graph, requester, model.resolver)
-        for pol in model.policies_at(loc)
-    )
+        return any(cond(graph, rep) for cond in conds)
+
+    return judge

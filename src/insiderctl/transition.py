@@ -16,6 +16,13 @@ Successors are emitted in a fixed order (rule, then identity, then location,
 then value) so exploration is deterministic.  Self-loops (for example,
 re-writing the value a location already has) are kept.
 
+Each snapshot has a :class:`State` key, a tuple of strings and location ids
+that hashes and compares in C.  A rule instance changes one field of it (a
+move one identity's placement, a get one credential set, a put one location
+value), so :func:`successors` derives each successor's key from the source
+key and the rule's delta, and builds the successor snapshot only when an
+interning table does not already hold that key.
+
 The ``eval`` action exists in the action vocabulary but has no transition
 rule; policies granting only ``eval`` are flagged by :func:`lint_model`.
 """
@@ -23,6 +30,7 @@ rule; policies granting only ``eval`` are flagged by :func:`lint_model`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import InfraGraph, Location, Model, by_id, enables
 
@@ -53,6 +61,49 @@ class TransitionLabel:
         if self.rule == "get":
             return f"get {self.actor} {self.credential} from {self.giver} at {self.loc}"
         return f"{self.rule} {self.actor} {self.loc}={self.value}"
+
+
+class State(NamedTuple):
+    """Canonical key of a snapshot; equal exactly when the snapshots'
+    placements, credentials, roles and values are equal.  Graph edges are
+    model constants and not part of the key.
+
+    ``placements`` holds ``(identity, location id)`` pairs and
+    ``credentials``/``roles`` hold ``(identity, sorted tokens)`` pairs for
+    identities with a non-empty set, all in identity order; ``values`` holds
+    ``(location id, value)`` pairs in location-id order.
+    """
+
+    placements: tuple
+    credentials: tuple
+    roles: tuple
+    values: tuple
+
+
+def encode(graph: InfraGraph) -> State:
+    """The key of ``graph``, computed once and cached on the graph."""
+    key = graph.__dict__.get("_state")
+    if key is None:
+        key = State(
+            tuple(sorted((i, loc.id) for loc, ids in graph.placements.items() for i in ids)),
+            tuple(sorted((i, tuple(sorted(c))) for i, c in graph.credentials.items())),
+            tuple(sorted((i, tuple(sorted(r))) for i, r in graph.roles.items())),
+            tuple(sorted((loc.id, v) for loc, v in graph.loc_value.items())),
+        )
+        object.__setattr__(graph, "_state", key)
+    return key
+
+
+def _with_credential(key: State, identity: str, credential: str) -> State:
+    creds = dict(key.credentials)
+    creds[identity] = tuple(sorted(creds.get(identity, ()) + (credential,)))
+    return State(key.placements, tuple(sorted(creds.items())), key.roles, key.values)
+
+
+def _with_value(key: State, loc: Location, value: str) -> State:
+    values = dict(key.values)
+    values[loc.id] = value
+    return State(key.placements, key.credentials, key.roles, tuple(sorted(values.items())))
 
 
 def move_graph(identity: str, src: Location, dst: Location, graph: InfraGraph) -> InfraGraph:
@@ -88,62 +139,96 @@ def class_credentials(graph: InfraGraph, model: Model, identity: str) -> frozens
     return out
 
 
-def successors(model: Model, graph: InfraGraph) -> list[tuple[TransitionLabel, InfraGraph]]:
-    """Every enabled rule instance from ``graph``, in deterministic order."""
-    out: list[tuple[TransitionLabel, InfraGraph]] = []
-    placed = graph.actors()
+def successors(model: Model, graph: InfraGraph, table: dict | None = None) -> list:
+    """Every enabled rule instance from ``graph``, in deterministic order.
+
+    Without ``table``, a list of ``(label, successor graph)`` pairs.
+
+    With an interning ``table`` (a mapping whose keys are :class:`State`
+    keys), a list of ``(label, key, graph)`` triples: ``key`` is the
+    successor's key, derived from ``encode(graph)`` and the rule's delta, and
+    ``graph`` is ``None`` when ``key`` is already in ``table``.  Only new keys
+    are built into (fully validated) snapshots, each once per call, with the
+    key cached on it.  No-op instances (a move to the current location, a
+    credential already held, the current value) have the source key.
+    """
+    key = encode(graph)
+    known = {} if table is None else table
+    built: dict[State, InfraGraph] = {}
+    out: list = []
+
+    def emit(label: TransitionLabel, succ: State, build, *args) -> None:
+        target = None
+        if succ not in known:
+            target = built.get(succ)
+            if target is None:
+                target = built[succ] = build(*args)
+                object.__setattr__(target, "_state", succ)
+        out.append((label, succ, target))
+
+    actor_of = model.resolver.actor_of
+    allowed: dict = {}
+
+    def enabled(loc: Location, actor, action: str) -> bool:
+        memo = (loc.id, actor.representative, action)
+        ok = allowed.get(memo)
+        if ok is None:
+            ok = allowed[memo] = enables(model, graph, loc, actor, action)
+        return ok
+
+    where = {i: loc for loc, ids in graph.placements.items() for i in ids}
     locations = by_id(model.locations)
     nodes = graph.nodes()
+    targets = [loc for loc in locations if loc in nodes]
+    placements = key.placements
 
-    for a in placed:
-        src = graph.locate(a)
+    for pos, (a, _) in enumerate(placements):
+        src = where[a]
         if src not in nodes:
             continue
-        actor = model.resolver.actor_of(a)
-        for dst in locations:
-            if dst not in nodes:
-                continue
-            if enables(model, graph, dst, actor, "move"):
-                out.append(
-                    (TransitionLabel("move", a, src=src, dst=dst), move_graph(a, src, dst, graph))
+        actor = actor_of(a)
+        for dst in targets:
+            if enabled(dst, actor, "move"):
+                succ = State(
+                    placements[:pos] + ((a, dst.id),) + placements[pos + 1 :],
+                    key.credentials,
+                    key.roles,
+                    key.values,
                 )
+                label = TransitionLabel("move", a, src=src, dst=dst)
+                emit(label, succ, move_graph, a, src, dst, graph)
 
-    for a in placed:
-        loc = graph.locate(a)
-        actor = model.resolver.actor_of(a)
-        if not enables(model, graph, loc, actor, "get"):
+    for a, _ in placements:
+        loc = where[a]
+        if not enabled(loc, actor_of(a), "get"):
             continue
         creds = sorted(class_credentials(graph, model, a))
         for receiver in graph.placement(loc):
+            held = graph.credentials_of(receiver)
             for cred in creds:
-                out.append(
-                    (
-                        TransitionLabel("get", receiver, giver=a, credential=cred, loc=loc),
-                        _grant(graph, receiver, cred),
-                    )
-                )
+                succ = key if cred in held else _with_credential(key, receiver, cred)
+                label = TransitionLabel("get", receiver, giver=a, credential=cred, loc=loc)
+                emit(label, succ, _grant, graph, receiver, cred)
 
-    for a in placed:
-        loc = graph.locate(a)
-        actor = model.resolver.actor_of(a)
-        if enables(model, graph, loc, actor, "put"):
-            for value in sorted(model.value_alphabet.get(loc, ())):
-                out.append(
-                    (TransitionLabel("put", a, loc=loc, value=value), _put_value(graph, loc, value))
-                )
+    def put(rule: str, a: str, loc: Location) -> None:
+        current = graph.loc_value.get(loc)
+        for value in sorted(model.value_alphabet.get(loc, ())):
+            succ = key if value == current else _with_value(key, loc, value)
+            emit(TransitionLabel(rule, a, loc=loc, value=value), succ, _put_value, graph, loc, value)
+
+    for a, _ in placements:
+        loc = where[a]
+        if enabled(loc, actor_of(a), "put"):
+            put("put", a, loc)
 
     for a in sorted(model.identities):
-        actor = model.resolver.actor_of(a)
+        actor = actor_of(a)
         for loc in locations:
-            if enables(model, graph, loc, actor, "put"):
-                for value in sorted(model.value_alphabet.get(loc, ())):
-                    out.append(
-                        (
-                            TransitionLabel("put_remote", a, loc=loc, value=value),
-                            _put_value(graph, loc, value),
-                        )
-                    )
+            if enabled(loc, actor, "put"):
+                put("put_remote", a, loc)
 
+    if table is None:
+        return [(label, target) for label, _, target in out]
     return out
 
 

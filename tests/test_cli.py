@@ -77,6 +77,13 @@ class TestCheck:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_state_cap_must_be_positive(self, capsys, cap):
+        code, _, err = run(capsys, "check", MODEL, "AG eve_ok", "--max-states", cap)
+        assert code == 2
+        assert "--max-states: must be a positive integer" in err
+        assert "exceeds the cap" not in err
+
     def test_usage_error_without_arguments(self, capsys):
         assert run_command([]) == 2
         capsys.readouterr()
@@ -183,20 +190,52 @@ class TestLintSurface:
         assert "eval" in err and "warning" in err
 
 
-def test_module_entry_point():
-    # The child finds the package through an absolute src path, so the test
-    # works whether or not insiderctl is installed and from any working dir.
+def run_module(*argv, cwd=None):
+    """Run ``python -m insiderctl`` in a child process.  The child finds the
+    package through an absolute src path, so this works whether or not
+    insiderctl is installed and from any working directory."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run(
-        [sys.executable, "-m", "insiderctl", "risk", "--p0", "0", "--p1", "0", "--p2", "0.5"],
+    return subprocess.run(
+        [sys.executable, "-m", "insiderctl", *argv],
         capture_output=True,
         text=True,
-        cwd=root,
+        cwd=root if cwd is None else cwd,
         env=env,
     )
+
+
+def test_module_entry_point():
+    result = run_module("risk", "--p0", "0", "--p1", "0", "--p2", "0.5")
     assert result.returncode == 0, result.stderr
     assert "two_person 0.5" in result.stdout
+
+
+class TestExitCodeContract:
+    """Inputs that once escaped as tracebacks with exit 1 ("check fails")
+    exit 2 with a one-line diagnostic."""
+
+    @staticmethod
+    def assert_error(result, message):
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0], result.stderr
+
+    def test_deeply_nested_formula(self):
+        result = run_module("check", MODEL, "!" * 3000 + "eve_ok")
+        self.assert_error(result, "nested too deeply")
+
+    def test_model_file_not_utf8(self, tmp_path):
+        path = tmp_path / "utf16.model"
+        path.write_bytes(b"\xff\xfe" + Path(MODEL).read_text().encode("utf-16-le"))
+        self.assert_error(run_module("check", str(path), "AG eve_ok"), "cannot read model file")
+
+    def test_dot_file_not_writable(self, tmp_path):
+        target = tmp_path / "missing" / "x.dot"
+        result = run_module("reach", MODEL, "--dot", str(target))
+        self.assert_error(result, "cannot write DOT file")
+        assert result.stdout == "states: 243\nedges: 4212\n"

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from insiderctl.ctl import (
@@ -163,6 +169,36 @@ class TestFixpoints:
 
         with pytest.raises(MonotonicityError):
             lfp_iterate(shrinker, self.UNIVERSE, debug=True)
+
+
+def test_duality_check_raises_under_python_O():
+    """The debug AG/EF duality check is an explicit raise, so it survives
+    ``python -O``; a child interpreter forces a mismatch by replacing
+    ``lfp_iterate``, which computes the EF side."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from insiderctl import ctl
+        from insiderctl.airplane import build_airplane_model
+        from insiderctl.formula import parse_formula
+
+        k = ctl.reachable(build_airplane_model("baseline"))
+        ctl.lfp_iterate = lambda transformer, universe, debug=False: frozenset()
+        try:
+            ctl.eval_ctl(k, parse_formula("AG eve_ok"), debug=True)
+        except ctl.MonotonicityError as exc:
+            print(sys.flags.optimize, "MonotonicityError:", exc)
+        """
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1 MonotonicityError: AG/EF duality violated\n"
 
 
 class TestEvalCtl:
