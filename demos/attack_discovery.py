@@ -41,7 +41,7 @@ def main():
 
     # The danger state itself (lone copilot, door locked) sits two moves
     # away because the cabin policy is unconditional...
-    target = encode(airplane.aid_graph())
+    target = encode(model, airplane.aid_graph())
     direct = shortest_path(kripke, frozenset({kripke.index[target]}))
     print(f"\nshortest route to the locked-out configuration: {len(direct)} steps")
     print(format_trace(kripke, direct))
@@ -51,9 +51,9 @@ def main():
     via = shortest_path_via(
         kripke,
         [
-            encode(airplane.aid_graph0()),
-            encode(airplane.agid_graph()),
-            encode(airplane.aid_graph()),
+            encode(model, airplane.aid_graph0()),
+            encode(model, airplane.agid_graph()),
+            encode(model, airplane.aid_graph()),
         ],
     )
     print(f"\nescalation through both intermediates: {len(via)} steps")

@@ -16,6 +16,7 @@ from .model import (
     StatePredicate,
     build_resolver,
     enables,
+    encode,
     eval_condition,
     eval_predicate,
     tipping_point,
@@ -23,11 +24,9 @@ from .model import (
 from .transition import TransitionLabel, lint_model, move_graph, successors
 from .ctl import (
     KripkeModel,
-    State,
     Verdict,
     check,
     dot_export,
-    encode,
     eval_ctl,
     extract_trace,
     gfp_iterate,

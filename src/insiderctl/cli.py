@@ -166,7 +166,7 @@ def _cmd_door_sim(args) -> int:
     try:
         with open(args.script, encoding="utf-8") as fh:
             events = door.parse_script(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read script: {exc}")
     except door.DoorScriptError as exc:
         raise CliError(str(exc))

@@ -1,13 +1,14 @@
 """Reachable state space construction and fixpoint-based CTL evaluation.
 
-Each state is a snapshot (:class:`InfraGraph`) together with its key, a
-:class:`State` tuple of identities, location ids and tokens (the policy map
-lives in the model and never changes along a transition, so it is factored
-out).  The reachable set is explored breadth-first with deterministic
-indexing: :func:`successors` derives each successor's key from the source
-key and the rule's delta and looks it up in the table of known states first,
-so a snapshot is built and validated once per new state, not once per edge.
-State sets are plain ``frozenset`` of indices.
+Each state is a snapshot (:class:`InfraGraph`) together with its key, the
+flat state vector ``encode(model, graph)`` of location indices, credential
+and role sets and values (the policy map lives in the model and never
+changes along a transition, so it is factored out).  The reachable set is
+explored breadth-first with deterministic indexing: :func:`successors`
+derives each successor's vector from the source's and the rule's one-slot
+delta and looks it up in the table of known states first, so a snapshot is
+built and validated once per new state, not once per edge.  State sets are
+plain ``frozenset`` of indices.
 
 The ten CTL operators are evaluated as least/greatest fixpoints of their
 standard set transformers:
@@ -35,8 +36,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .model import InfraGraph, Model, ModelError, eval_predicate
-from .transition import State, TransitionLabel, encode, successors
+from .model import InfraGraph, Model, ModelError, encode, eval_predicate
+from .transition import TransitionLabel, successors
 
 
 class ExplorationLimitError(RuntimeError):
@@ -68,7 +69,7 @@ class KripkeModel:
     """
 
     model: Model
-    states: list[State]
+    states: list[tuple]
     graphs: list[InfraGraph]
     edges: list[list[tuple[TransitionLabel, int]]]
     init: frozenset[int]
@@ -116,9 +117,9 @@ def reachable(
     interning table of :func:`successors`, which builds a snapshot only for
     a key not yet in it."""
     start = model.initial if initial is None else initial
-    states: list[State] = [encode(start)]
+    states: list[tuple] = [encode(model, start)]
     graphs: list[InfraGraph] = [start]
-    index: dict[State, int] = {states[0]: 0}
+    index: dict[tuple, int] = {states[0]: 0}
     edges: list[list[tuple[TransitionLabel, int]]] = []
     frontier = [0]
     while frontier:
@@ -436,7 +437,7 @@ def shortest_path_via(k: KripkeModel, waypoints) -> TracePath | None:
     order, as the concatenation of shortest legs."""
     indices = []
     for st in waypoints:
-        i = k.index.get(st) if isinstance(st, State) else st
+        i = k.index.get(st) if isinstance(st, tuple) else st
         if i is None:
             return None
         indices.append(i)

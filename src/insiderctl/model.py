@@ -348,53 +348,6 @@ def eval_condition(
     raise ModelError(f"unknown policy condition node {cond!r}")
 
 
-def _always(graph: InfraGraph, rep: str) -> bool:
-    return True
-
-
-def _never(graph: InfraGraph, rep: str) -> bool:
-    return False
-
-
-def compile_condition(cond: PolicyCondition, resolver: ActorResolver):
-    """``cond`` as a closure ``(graph, rep) -> bool``, where ``rep`` is the
-    representative of the requesting actor class.  Agrees with
-    :func:`eval_condition` on every graph and class, without walking the
-    condition tree or building :class:`ActorClassId` values per call."""
-    rep_of, members = resolver._rep, resolver._members
-    match cond:
-        case TrueCond():
-            return _always
-        case RequesterAt(loc=loc):
-            return lambda graph, rep: any(
-                rep_of.get(n, n) == rep for n in graph.placements.get(loc, ())
-            )
-        case HasCred(cred=cred):
-            return lambda graph, rep: any(
-                cred in graph.credentials.get(m, ()) for m in members.get(rep, (rep,))
-            )
-        case HasRole(role=role):
-            return lambda graph, rep: any(
-                role in graph.roles.get(m, ()) for m in members.get(rep, (rep,))
-            )
-        case IsIn(loc=loc, value=value):
-            return lambda graph, rep: graph.loc_value.get(loc) == value
-        case CountAtLeast(loc=loc, count=count):
-            return lambda graph, rep: len(graph.placements.get(loc, ())) >= count
-        case AllAtAuthorized(loc=loc, allowed=allowed):
-            return lambda graph, rep: allowed.issuperset(graph.placements.get(loc, ()))
-        case CondNot(arg=arg):
-            inner = compile_condition(arg, resolver)
-            return lambda graph, rep: not inner(graph, rep)
-        case CondAnd(left=left, right=right):
-            a, b = compile_condition(left, resolver), compile_condition(right, resolver)
-            return lambda graph, rep: a(graph, rep) and b(graph, rep)
-        case CondOr(left=left, right=right):
-            a, b = compile_condition(left, resolver), compile_condition(right, resolver)
-            return lambda graph, rep: a(graph, rep) or b(graph, rep)
-    raise ModelError(f"unknown policy condition node {cond!r}")
-
-
 @dataclass(frozen=True)
 class AtomicPolicy:
     """A (condition, action set) pair attached to a location."""
@@ -586,8 +539,8 @@ class Model:
     named_predicates: dict = field(default_factory=dict)
     assumptions: tuple[FoeControl, ...] = ()
     resolver: ActorResolver = field(init=False, compare=False, repr=False)
-    # (location, action) -> compiled access judgment, built by enables().
-    _access: dict | None = field(default=None, init=False, compare=False, repr=False)
+    # The state-vector layout and everything compiled over it; see tables().
+    _tables: "Tables | None" = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.locations = tuple(by_id(self.locations))
@@ -732,56 +685,166 @@ class Model:
         return Model(**kwargs)
 
 
-def enables(
-    model: Model,
-    graph: InfraGraph,
-    loc: Location,
-    requester: ActorClassId,
-    action: str,
-) -> bool:
-    """The access judgment: does some policy at ``loc`` grant ``action`` to
-    the requesting class?
+# ---------------------------------------------------------------------------
+# State vectors and compiled access
 
-    An active foe-control assumption overrides the policies: the foe's class
-    is denied whenever someone outside that class is present at the location.
+_EMPTY: frozenset = frozenset()
 
-    The model's policies and assumptions are compiled into one closure per
-    granted ``(location, action)`` pair on first use and cached on the model.
+
+class Tables:
+    """Everything derived once per model over its state vector.
+
+    A snapshot's vector is one flat tuple with fixed positions: the location
+    index (into ``model.locations``, -1 when unplaced) of each identity in
+    sorted order, then each identity's credential set, then each identity's
+    role set, then each location's value (``None`` when it has none).  The
+    policies and foe-control assumptions are compiled into one judgment
+    ``(vector, rep) -> bool`` per granted (location index, action), and the
+    transition rules intern their labels in ``labels``.
     """
-    access = model._access
-    if access is None:
-        access = model._access = _compile_access(model)
-    return access.get((loc, action), _never)(graph, requester.representative)
+
+    def __init__(self, model: Model) -> None:
+        self.ids = ids = tuple(sorted(model.identities))
+        self.locs = locs = model.locations
+        self.layout, self.n, self.labels = (ids, locs), len(ids), {}
+        self.id_pos = {ident: p for p, ident in enumerate(ids)}
+        self.loc_pos = {loc: k for k, loc in enumerate(locs)}
+        rep_of, classes = model.resolver._rep, model.resolver._members
+        self.reps = reps = tuple(rep_of.get(i, i) for i in ids)
+        # Member positions as ActorResolver.members gives them: a
+        # representative's whole class, any other identity itself ...
+        self.members = {i: tuple(sorted(map(self.id_pos.get, classes.get(i, (i,))))) for i in ids}
+        # ... and the positions of the identities each representative stands for.
+        self.at = {r: tuple(p for p, x in enumerate(reps) if x == r) for r in reps}
+        self.alphabet = tuple(tuple(sorted(model.value_alphabet.get(l, ()))) for l in locs)
+        self.writable = [k for k, values in enumerate(self.alphabet) if values]
+        granted: dict = {}
+        for loc, policies in model.policy_map.items():
+            for pol in policies:
+                cond = vector_condition(pol.condition, self)
+                for action in pol.actions:
+                    granted.setdefault((self.loc_pos[loc], action), []).append(cond)
+        # A foe is denied while anyone outside its class is at the location.
+        outside: dict = {}
+        for fc in model.assumptions:
+            foe = reps[self.id_pos[fc.foe]]
+            others = tuple(p for p, x in enumerate(reps) if x != foe)
+            outside.setdefault((self.loc_pos[fc.location], fc.action), {})[foe] = others
+        self.grant = {action: [None] * len(locs) for action in ACTIONS}
+        for (k, action), conds in granted.items():
+            self.grant[action][k] = _judge(k, conds, outside.get((k, action)))
+
+    def graph(self, key: tuple, edges) -> InfraGraph:
+        """The validated snapshot with ``edges`` whose vector is ``key``."""
+        n, ids = self.n, self.ids
+        placements: dict = {}
+        for p in range(n):
+            if key[p] >= 0:
+                placements.setdefault(self.locs[key[p]], []).append(ids[p])
+        creds, roles = dict(zip(ids, key[n : 2 * n])), dict(zip(ids, key[2 * n : 3 * n]))
+        graph = InfraGraph(edges, placements, creds, roles, dict(zip(self.locs, key[3 * n :])))
+        object.__setattr__(graph, "_state", (self.layout, key))
+        return graph
 
 
-def _compile_access(model: Model) -> dict:
-    resolver = model.resolver
-    granted: dict = {}
-    for loc, policies in model.policy_map.items():
-        for pol in policies:
-            cond = compile_condition(pol.condition, resolver)
-            for action in pol.actions:
-                granted.setdefault((loc, action), []).append(cond)
-    foes: dict = {}
-    for fc in model.assumptions:
-        foes.setdefault((fc.location, fc.action), set()).add(
-            resolver.actor_of(fc.foe).representative
-        )
-    return {
-        (loc, action): _judge(loc, conds, foes.get((loc, action)), resolver._rep)
-        for (loc, action), conds in granted.items()
-    }
+def tables(model: Model) -> Tables:
+    """``model``'s :class:`Tables`, built on first use."""
+    if model._tables is None:
+        model._tables = Tables(model)
+    return model._tables
 
 
-def _judge(loc: Location, conds: list, foes: set | None, rep_of: dict):
-    if not foes and len(conds) == 1:
+def _judge(k: int, conds: list, outside: dict | None):
+    if not outside and len(conds) == 1:
         return conds[0]
 
-    def judge(graph: InfraGraph, rep: str) -> bool:
-        if foes and rep in foes and any(
-            rep_of.get(x, x) != rep for x in graph.placements.get(loc, ())
-        ):
+    def judge(v: tuple, rep: str) -> bool:
+        others = outside.get(rep) if outside else None
+        if others is not None and any(v[p] == k for p in others):
             return False
-        return any(cond(graph, rep) for cond in conds)
+        return any(cond(v, rep) for cond in conds)
 
     return judge
+
+
+def _always(v: tuple, rep: str) -> bool:
+    return True
+
+
+def vector_condition(cond: PolicyCondition, t: Tables):
+    """``cond`` as a closure ``(vector, rep) -> bool`` over ``t``'s layout,
+    where ``rep`` is the representative of the requesting class.  Agrees with
+    :func:`eval_condition` on every snapshot and class."""
+    n = t.n
+    match cond:
+        case TrueCond():
+            return _always
+        case RequesterAt(loc=loc):
+            k, at = t.loc_pos[loc], t.at
+            return lambda v, rep: k in [v[p] for p in at.get(rep, ())]
+        case HasCred(cred=cred):
+            members = t.members
+            return lambda v, rep: any(cred in v[n + p] for p in members.get(rep, ()))
+        case HasRole(role=role):
+            members, base = t.members, 2 * n
+            return lambda v, rep: any(role in v[base + p] for p in members.get(rep, ()))
+        case IsIn(loc=loc, value=value):
+            slot = 3 * n + t.loc_pos[loc]
+            return lambda v, rep: v[slot] == value
+        case CountAtLeast(loc=loc, count=count):
+            k = t.loc_pos[loc]
+            return lambda v, rep: v[:n].count(k) >= count
+        case AllAtAuthorized(loc=loc, allowed=allowed):
+            k = t.loc_pos[loc]
+            outside = [p for p, ident in enumerate(t.ids) if ident not in allowed]
+            return lambda v, rep: k not in [v[p] for p in outside]
+        case CondNot(arg=arg):
+            inner = vector_condition(arg, t)
+            return lambda v, rep: not inner(v, rep)
+        case CondAnd(left=left, right=right):
+            a, b = vector_condition(left, t), vector_condition(right, t)
+            return lambda v, rep: a(v, rep) and b(v, rep)
+        case CondOr(left=left, right=right):
+            a, b = vector_condition(left, t), vector_condition(right, t)
+            return lambda v, rep: a(v, rep) or b(v, rep)
+    raise ModelError(f"unknown policy condition node {cond!r}")
+
+
+def encode(model: Model, graph: InfraGraph) -> tuple:
+    """``graph``'s state vector under ``model``'s layout (see
+    :class:`Tables`), computed once and cached on the graph.  Raises
+    :class:`ModelError` when the snapshot names an identity or a location
+    the model lacks."""
+    t = tables(model)
+    cached = graph.__dict__.get("_state")
+    if cached is not None and cached[0] == t.layout:
+        return cached[1]
+    where = {i: loc for loc, idents in graph.placements.items() for i in idents}
+    lacking = [
+        *({*graph.placements, *graph.loc_value} - t.loc_pos.keys()),
+        *({*where, *graph.credentials, *graph.roles} - t.id_pos.keys()),
+    ]
+    if lacking:
+        raise ModelError(f"snapshot names {lacking[0]!r}, which the model lacks")
+    key = (
+        *(t.loc_pos.get(where.get(i), -1) for i in t.ids),
+        *(graph.credentials.get(i, _EMPTY) for i in t.ids),
+        *(graph.roles.get(i, _EMPTY) for i in t.ids),
+        *(graph.loc_value.get(loc) for loc in t.locs),
+    )
+    object.__setattr__(graph, "_state", (t.layout, key))
+    return key
+
+
+def enables(
+    model: Model, graph: InfraGraph, loc: Location, requester: ActorClassId, action: str
+) -> bool:
+    """The access judgment: does some policy at ``loc`` grant ``action`` to
+    the requesting class?  An active foe-control assumption overrides the
+    policies: the foe's class is denied whenever someone outside that class
+    is present at the location.  Runs the judgment compiled over ``graph``'s
+    state vector (see :class:`Tables`)."""
+    v = encode(model, graph)
+    judges, k = model._tables.grant.get(action), model._tables.loc_pos.get(loc)
+    judge = None if judges is None or k is None else judges[k]
+    return judge is not None and judge(v, requester.representative)

@@ -16,12 +16,13 @@ Successors are emitted in a fixed order (rule, then identity, then location,
 then value) so exploration is deterministic.  Self-loops (for example,
 re-writing the value a location already has) are kept.
 
-Each snapshot has a :class:`State` key, a tuple of strings and location ids
-that hashes and compares in C.  A rule instance changes one field of it (a
-move one identity's placement, a get one credential set, a put one location
-value), so :func:`successors` derives each successor's key from the source
-key and the rule's delta, and builds the successor snapshot only when an
-interning table does not already hold that key.
+Each snapshot has a state vector, ``encode(model, graph)``: one flat tuple of
+location indices, credential and role sets and values (see
+:class:`~insiderctl.model.Tables`) that hashes and compares in C.  A rule
+instance changes one slot of it, so :func:`successors` derives each
+successor's vector by replacing that slot, builds the successor snapshot
+only when an interning table does not already hold the vector, and reuses
+one interned label per rule instance of the model.
 
 The ``eval`` action exists in the action vocabulary but has no transition
 rule; policies granting only ``eval`` are flagged by :func:`lint_model`.
@@ -30,11 +31,9 @@ rule; policies granting only ``eval`` are flagged by :func:`lint_model`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .model import InfraGraph, Location, Model, by_id, enables
-
-RULES = ("move", "get", "put", "put_remote")
+from .model import _EMPTY, InfraGraph, Location, Model, Tables, by_id, encode, tables
+from .model import enables  # noqa: F401  (bench/layers.py times calls to transition.enables)
 
 
 @dataclass(frozen=True)
@@ -63,49 +62,6 @@ class TransitionLabel:
         return f"{self.rule} {self.actor} {self.loc}={self.value}"
 
 
-class State(NamedTuple):
-    """Canonical key of a snapshot; equal exactly when the snapshots'
-    placements, credentials, roles and values are equal.  Graph edges are
-    model constants and not part of the key.
-
-    ``placements`` holds ``(identity, location id)`` pairs and
-    ``credentials``/``roles`` hold ``(identity, sorted tokens)`` pairs for
-    identities with a non-empty set, all in identity order; ``values`` holds
-    ``(location id, value)`` pairs in location-id order.
-    """
-
-    placements: tuple
-    credentials: tuple
-    roles: tuple
-    values: tuple
-
-
-def encode(graph: InfraGraph) -> State:
-    """The key of ``graph``, computed once and cached on the graph."""
-    key = graph.__dict__.get("_state")
-    if key is None:
-        key = State(
-            tuple(sorted((i, loc.id) for loc, ids in graph.placements.items() for i in ids)),
-            tuple(sorted((i, tuple(sorted(c))) for i, c in graph.credentials.items())),
-            tuple(sorted((i, tuple(sorted(r))) for i, r in graph.roles.items())),
-            tuple(sorted((loc.id, v) for loc, v in graph.loc_value.items())),
-        )
-        object.__setattr__(graph, "_state", key)
-    return key
-
-
-def _with_credential(key: State, identity: str, credential: str) -> State:
-    creds = dict(key.credentials)
-    creds[identity] = tuple(sorted(creds.get(identity, ()) + (credential,)))
-    return State(key.placements, tuple(sorted(creds.items())), key.roles, key.values)
-
-
-def _with_value(key: State, loc: Location, value: str) -> State:
-    values = dict(key.values)
-    values[loc.id] = value
-    return State(key.placements, key.credentials, key.roles, tuple(sorted(values.items())))
-
-
 def move_graph(identity: str, src: Location, dst: Location, graph: InfraGraph) -> InfraGraph:
     """Relocate ``identity`` from ``src`` to ``dst``; unchanged when the
     identity is not at ``src`` or already at ``dst`` (hence a no-op when
@@ -118,25 +74,13 @@ def move_graph(identity: str, src: Location, dst: Location, graph: InfraGraph) -
     return InfraGraph(graph.edges, placements, graph.credentials, graph.roles, graph.loc_value)
 
 
-def _grant(graph: InfraGraph, identity: str, credential: str) -> InfraGraph:
-    credentials = dict(graph.credentials)
-    credentials[identity] = graph.credentials_of(identity) | {credential}
-    return InfraGraph(graph.edges, graph.placements, credentials, graph.roles, graph.loc_value)
-
-
-def _put_value(graph: InfraGraph, loc: Location, value: str) -> InfraGraph:
-    loc_value = dict(graph.loc_value)
-    loc_value[loc] = value
-    return InfraGraph(graph.edges, graph.placements, graph.credentials, graph.roles, loc_value)
-
-
-def class_credentials(graph: InfraGraph, model: Model, identity: str) -> frozenset[str]:
-    """Credentials available to ``identity``'s actor class."""
-    actor = model.resolver.actor_of(identity)
-    out: frozenset[str] = frozenset()
-    for member in model.resolver.members(actor):
-        out |= graph.credentials_of(member)
-    return out
+def _label(t: Tables, rule: str, p: int, a: int, b, cred: str | None = None) -> TransitionLabel:
+    """The label that an interning key of :func:`successors` stands for."""
+    if rule == "move":
+        return TransitionLabel(rule, t.ids[p], src=t.locs[a], dst=t.locs[b])
+    if rule == "get":
+        return TransitionLabel(rule, t.ids[p], giver=t.ids[a], loc=t.locs[b], credential=cred)
+    return TransitionLabel(rule, t.ids[p], loc=t.locs[a], value=b)
 
 
 def successors(model: Model, graph: InfraGraph, table: dict | None = None) -> list:
@@ -144,88 +88,78 @@ def successors(model: Model, graph: InfraGraph, table: dict | None = None) -> li
 
     Without ``table``, a list of ``(label, successor graph)`` pairs.
 
-    With an interning ``table`` (a mapping whose keys are :class:`State`
-    keys), a list of ``(label, key, graph)`` triples: ``key`` is the
-    successor's key, derived from ``encode(graph)`` and the rule's delta, and
-    ``graph`` is ``None`` when ``key`` is already in ``table``.  Only new keys
-    are built into (fully validated) snapshots, each once per call, with the
-    key cached on it.  No-op instances (a move to the current location, a
-    credential already held, the current value) have the source key.
+    With an interning ``table`` (a mapping whose keys are state vectors), a
+    list of ``(label, key, graph)`` triples: ``key`` is the successor's
+    vector, ``encode(model, graph)`` with the one slot the rule changes
+    replaced, and ``graph`` is ``None`` when ``key`` is already in ``table``.
+    Only new keys are built into (fully validated) snapshots, each once per
+    call, with the key cached on it.  No-op instances (a move to the current
+    location, a credential already held, the current value) have the source
+    key.
     """
-    key = encode(graph)
+    t = tables(model)
+    v = encode(model, graph)
+    n, reps, labels = t.n, t.reps, t.labels
     known = {} if table is None else table
-    built: dict[State, InfraGraph] = {}
+    built = {v: graph}
     out: list = []
 
-    def emit(label: TransitionLabel, succ: State, build, *args) -> None:
+    def emit(key: tuple, succ: tuple) -> None:
+        label = labels.get(key)
+        if label is None:
+            label = labels[key] = _label(t, *key)
         target = None
         if succ not in known:
             target = built.get(succ)
             if target is None:
-                target = built[succ] = build(*args)
-                object.__setattr__(target, "_state", succ)
+                target = built[succ] = t.graph(succ, graph.edges)
         out.append((label, succ, target))
 
-    actor_of = model.resolver.actor_of
-    allowed: dict = {}
+    memo: dict = {}
 
-    def enabled(loc: Location, actor, action: str) -> bool:
-        memo = (loc.id, actor.representative, action)
-        ok = allowed.get(memo)
-        if ok is None:
-            ok = allowed[memo] = enables(model, graph, loc, actor, action)
-        return ok
+    def allowed(action: str, rep: str, among) -> list:
+        """The location indices in ``among`` where ``rep``'s class may do
+        ``action``; each action is asked about one ``among`` per call."""
+        ks = memo.get((action, rep))
+        if ks is None:
+            judges = t.grant[action]
+            ks = memo[(action, rep)] = [
+                k for k in among if judges[k] is not None and judges[k](v, rep)
+            ]
+        return ks
 
-    where = {i: loc for loc, ids in graph.placements.items() for i in ids}
-    locations = by_id(model.locations)
     nodes = graph.nodes()
-    targets = [loc for loc in locations if loc in nodes]
-    placements = key.placements
+    targets = [k for k, loc in enumerate(t.locs) if loc in nodes]
+    for p in range(n):
+        if v[p] in targets:
+            for dst in allowed("move", reps[p], targets):
+                emit(("move", p, v[p], dst), v[:p] + (dst,) + v[p + 1 :])
 
-    for pos, (a, _) in enumerate(placements):
-        src = where[a]
-        if src not in nodes:
+    for p in range(n):
+        k = v[p]
+        if k < 0 or k not in allowed("get", reps[p], range(len(t.locs))):
             continue
-        actor = actor_of(a)
-        for dst in targets:
-            if enabled(dst, actor, "move"):
-                succ = State(
-                    placements[:pos] + ((a, dst.id),) + placements[pos + 1 :],
-                    key.credentials,
-                    key.roles,
-                    key.values,
-                )
-                label = TransitionLabel("move", a, src=src, dst=dst)
-                emit(label, succ, move_graph, a, src, dst, graph)
-
-    for a, _ in placements:
-        loc = where[a]
-        if not enabled(loc, actor_of(a), "get"):
-            continue
-        creds = sorted(class_credentials(graph, model, a))
-        for receiver in graph.placement(loc):
-            held = graph.credentials_of(receiver)
+        creds = sorted(_EMPTY.union(*(v[n + m] for m in t.members[reps[p]])))
+        for r in range(n):
+            if v[r] != k:
+                continue
+            held = v[n + r]
             for cred in creds:
-                succ = key if cred in held else _with_credential(key, receiver, cred)
-                label = TransitionLabel("get", receiver, giver=a, credential=cred, loc=loc)
-                emit(label, succ, _grant, graph, receiver, cred)
+                succ = v if cred in held else v[: n + r] + (held | {cred},) + v[n + r + 1 :]
+                emit(("get", r, p, k, cred), succ)
 
-    def put(rule: str, a: str, loc: Location) -> None:
-        current = graph.loc_value.get(loc)
-        for value in sorted(model.value_alphabet.get(loc, ())):
-            succ = key if value == current else _with_value(key, loc, value)
-            emit(TransitionLabel(rule, a, loc=loc, value=value), succ, _put_value, graph, loc, value)
+    def put(rule: str, p: int, k: int) -> None:
+        slot = 3 * n + k
+        for value in t.alphabet[k]:
+            emit((rule, p, k, value), v if value == v[slot] else v[:slot] + (value,) + v[slot + 1 :])
 
-    for a, _ in placements:
-        loc = where[a]
-        if enabled(loc, actor_of(a), "put"):
-            put("put", a, loc)
+    for p in range(n):
+        if v[p] in allowed("put", reps[p], t.writable):
+            put("put", p, v[p])
 
-    for a in sorted(model.identities):
-        actor = actor_of(a)
-        for loc in locations:
-            if enabled(loc, actor, "put"):
-                put("put_remote", a, loc)
+    for p in range(n):
+        for k in allowed("put", reps[p], t.writable):
+            put("put_remote", p, k)
 
     if table is None:
         return [(label, target) for label, _, target in out]

@@ -72,17 +72,18 @@ def test_c02_safety_and_security(baseline_model):
 def test_c03_three_step_attack_path(baseline_kripke):
     with criterion(3, "danger state reached in exactly 3 steps via both intermediates"):
         k = baseline_kripke
-        target = encode(aid_graph())
+        target = encode(k.model, aid_graph())
         assert target in k.index  # reachability itself
         path = shortest_path_via(
-            k, [encode(aid_graph0()), encode(agid_graph()), encode(aid_graph())]
+            k,
+            [encode(k.model, aid_graph0()), encode(k.model, agid_graph()), encode(k.model, aid_graph())],
         )
         assert path is not None and len(path) == 3
         assert [k.states[i] for i in path.states] == [
-            encode(ex_graph()),
-            encode(aid_graph0()),
-            encode(agid_graph()),
-            encode(aid_graph()),
+            encode(k.model, ex_graph()),
+            encode(k.model, aid_graph0()),
+            encode(k.model, agid_graph()),
+            encode(k.model, aid_graph()),
         ]
         # each leg is a single transition, so no shorter path visits both
         # intermediates in order

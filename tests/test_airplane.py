@@ -134,7 +134,7 @@ class TestMisnamedState:
             assert global_policy(model, graph, ident)
 
     def test_but_unreachable_from_the_proper_initial_state(self, four_eyes_kripke):
-        assert encode(aid_graph()) not in four_eyes_kripke.index
+        assert encode(four_eyes_kripke.model, aid_graph()) not in four_eyes_kripke.index
 
 
 class TestFourEyesSweeps:

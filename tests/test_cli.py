@@ -1,10 +1,8 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from children import run_python
 from insiderctl.cli import run_command
 
 DATA = Path(__file__).parent / "data"
@@ -191,21 +189,9 @@ class TestLintSurface:
 
 
 def run_module(*argv, cwd=None):
-    """Run ``python -m insiderctl`` in a child process.  The child finds the
-    package through an absolute src path, so this works whether or not
-    insiderctl is installed and from any working directory."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, "-m", "insiderctl", *argv],
-        capture_output=True,
-        text=True,
-        cwd=root if cwd is None else cwd,
-        env=env,
-    )
+    """Run ``python -m insiderctl`` in a child process (see
+    :func:`children.run_python`)."""
+    return run_python("-m", "insiderctl", *argv, cwd=cwd)
 
 
 def test_module_entry_point():
@@ -233,6 +219,13 @@ class TestExitCodeContract:
         path = tmp_path / "utf16.model"
         path.write_bytes(b"\xff\xfe" + Path(MODEL).read_text().encode("utf-16-le"))
         self.assert_error(run_module("check", str(path), "AG eve_ok"), "cannot read model file")
+
+    def test_door_script_not_utf8(self, tmp_path):
+        path = tmp_path / "utf16.door"
+        path.write_bytes(b"\xff\xfe" + "pin_ok\nwait 30\n".encode("utf-16-le"))
+        result = run_module("door-sim", str(path))
+        self.assert_error(result, "cannot read script")
+        assert "internal error" not in result.stderr
 
     def test_dot_file_not_writable(self, tmp_path):
         target = tmp_path / "missing" / "x.dot"

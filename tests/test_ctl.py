@@ -54,7 +54,7 @@ def with_constants(model):
 
 
 class TestEncode:
-    def test_placement_order_is_canonical(self):
+    def test_placement_order_is_canonical(self, baseline_model):
         from insiderctl.model import InfraGraph
 
         g = agid_graph()
@@ -65,31 +65,31 @@ class TestEncode:
             g.roles,
             g.loc_value,
         )
-        assert encode(g) == encode(shuffled)
+        assert encode(baseline_model, g) == encode(baseline_model, shuffled)
 
-    def test_distinguishes_values(self):
-        assert encode(agid_graph()) != encode(aid_graph())
+    def test_distinguishes_values(self, baseline_model):
+        assert encode(baseline_model, agid_graph()) != encode(baseline_model, aid_graph())
 
-    def test_ignores_edges(self):
+    def test_ignores_edges(self, baseline_model):
         g = ex_graph()
         from insiderctl.model import InfraGraph
 
         stripped = InfraGraph(frozenset(), g.placements, g.credentials, g.roles, g.loc_value)
-        assert encode(g) == encode(stripped)
+        assert encode(baseline_model, g) == encode(baseline_model, stripped)
 
-    def test_roundtrip_separates_fields(self):
+    def test_roundtrip_separates_fields(self, baseline_model):
         from insiderctl.model import InfraGraph
 
         g = ex_graph()
         other = InfraGraph(
             g.edges, g.placements, {**g.credentials, "Eve": {"PIN"}}, g.roles, g.loc_value
         )
-        assert encode(g) != encode(other)
+        assert encode(baseline_model, g) != encode(baseline_model, other)
 
 
 class TestReachable:
     def test_baseline_contains_the_danger_state(self, baseline_kripke):
-        assert encode(aid_graph()) in baseline_kripke.index
+        assert encode(baseline_kripke.model, aid_graph()) in baseline_kripke.index
 
     def test_baseline_state_count(self, baseline_kripke):
         assert len(baseline_kripke.states) == BASELINE_STATES
@@ -289,24 +289,26 @@ class TestTraces:
         # the unconditional cabin move admits a direct cockpit->cabin step,
         # so the fatal state sits at breadth-first distance 2
         k = baseline_kripke
-        path = shortest_path(k, frozenset({k.index[encode(aid_graph())]}))
+        path = shortest_path(k, frozenset({k.index[encode(k.model, aid_graph())]}))
         assert len(path) == 2
 
     def test_waypoint_path_through_the_intermediates(self, baseline_kripke):
         k = baseline_kripke
         path = shortest_path_via(
-            k, [encode(aid_graph0()), encode(agid_graph()), encode(aid_graph())]
+            k,
+            [encode(k.model, aid_graph0()), encode(k.model, agid_graph()), encode(k.model, aid_graph())],
         )
         assert len(path) == 3
         assert [k.states[i] for i in path.states] == [
-            encode(ex_graph()),
-            encode(aid_graph0()),
-            encode(agid_graph()),
-            encode(aid_graph()),
+            encode(k.model, ex_graph()),
+            encode(k.model, aid_graph0()),
+            encode(k.model, agid_graph()),
+            encode(k.model, aid_graph()),
         ]
 
     def test_missing_waypoint_gives_none(self, four_eyes_kripke):
-        assert shortest_path_via(four_eyes_kripke, [encode(aid_graph())]) is None
+        k = four_eyes_kripke
+        assert shortest_path_via(k, [encode(k.model, aid_graph())]) is None
 
 
 class TestDot:
