@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .model import InfraGraph, Model, ModelError, encode, eval_predicate
+from .model import And, InfraGraph, Model, ModelError, Not, Or, encode, eval_predicate
 from .transition import TransitionLabel, successors
 
 
@@ -207,21 +207,8 @@ class Pred(CtlFormula):
     name: str
 
 
-@dataclass(frozen=True)
-class FNot(CtlFormula):
-    arg: CtlFormula
-
-
-@dataclass(frozen=True)
-class FAnd(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
-
-
-@dataclass(frozen=True)
-class FOr(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+# The connectives are the ones conditions and predicates use.
+FNot, FAnd, FOr = Not, And, Or
 
 
 @dataclass(frozen=True)
@@ -283,11 +270,11 @@ def formula_predicates(formula: CtlFormula) -> set[str]:
     match formula:
         case Pred(name=name):
             return {name}
-        case FNot(arg=a) | EX(arg=a) | AX(arg=a) | EF(arg=a) | AF(arg=a) | EG(arg=a) | AG(arg=a):
+        case Not(arg=a) | EX(arg=a) | AX(arg=a) | EF(arg=a) | AF(arg=a) | EG(arg=a) | AG(arg=a):
             return formula_predicates(a)
         case (
-            FAnd(left=a, right=b)
-            | FOr(left=a, right=b)
+            And(left=a, right=b)
+            | Or(left=a, right=b)
             | EU(left=a, right=b)
             | AU(left=a, right=b)
             | ER(left=a, right=b)
@@ -320,11 +307,11 @@ def eval_ctl(k: KripkeModel, formula: CtlFormula, *, debug: bool = False) -> fro
                 return frozenset(
                     i for i in universe if eval_predicate(pred, k.model, k.graphs[i])
                 )
-            case FNot(arg=a):
+            case Not(arg=a):
                 return universe - sat(a)
-            case FAnd(left=a, right=b):
+            case And(left=a, right=b):
                 return sat(a) & sat(b)
-            case FOr(left=a, right=b):
+            case Or(left=a, right=b):
                 return sat(a) | sat(b)
             case EX(arg=a):
                 return ex_step(sat(a))
@@ -512,9 +499,13 @@ def dot_export(k: KripkeModel) -> str:
         desc = describe_graph(graph, k.model.locations).replace(" | ", "\\n").replace('"', "'")
         extra = " penwidth=2" if i in k.init else ""
         lines.append(f'  s{i} [label="s{i}\\n{desc}"{extra}];')
+    # Edges share interned labels, so each label is formatted once.
+    texts: dict[int, str] = {}
     for i, out in enumerate(k.edges):
         for label, j in out:
-            text = str(label).replace('"', "'")
+            text = texts.get(id(label))
+            if text is None:
+                text = texts[id(label)] = str(label).replace('"', "'")
             lines.append(f'  s{i} -> s{j} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

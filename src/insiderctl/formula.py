@@ -10,19 +10,20 @@ operators bind like ``!``)::
 
 ``EX``, ``AX``, ``EF``, ``AF``, ``EG``, ``AG``, ``E``, ``A``, ``U``, ``R``
 are reserved and cannot name predicates.  ``pretty`` emits a minimal-paren
-rendering that parses back to the same tree.
+rendering that parses back to the same tree.  The connectives, the parser
+core and the printer are the ones policy conditions and predicates use
+(see :mod:`insiderctl.model`); this module adds the temporal operators.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .ctl import AF, AG, AR, AU, AX, CtlFormula, EF, EG, ER, EU, EX, FAnd, FNot, FOr, Pred
+from .ctl import AF, AG, AR, AU, AX, CtlFormula, EF, EG, ER, EU, EX, Pred
+from .model import Not, Parser, expr_text
 
 RESERVED = {"EX", "AX", "EF", "AF", "EG", "AG", "E", "A", "U", "R"}
 
-_PREFIX = {"EX": EX, "AX": AX, "EF": EF, "AF": AF, "EG": EG, "AG": AG}
 _BRACKET = {("E", "U"): EU, ("A", "U"): AU, ("E", "R"): ER, ("A", "R"): AR}
 
 
@@ -32,137 +33,46 @@ class FormulaParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([!&|()\[\]])|(\S))")
+class _FormulaParser(Parser):
+    TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([!&|()\[\]])|(\S))")
+    END = "formula"
+    error = FormulaParseError
+    PREFIX = {"!": Not, "EX": EX, "AX": AX, "EF": EF, "AF": AF, "EG": EG, "AG": AG}
 
-
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if not m:
-            break
-        if m.group(3):
-            raise FormulaParseError(m.start(3), f"unexpected character {m.group(3)!r}")
-        tokens.append(_Tok(m.group(1) or m.group(2), m.start(m.lastindex)))
-        i = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> _Tok | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaParseError(len(self.text), "unexpected end of formula")
-        self.i += 1
-        return tok
-
-    def expect(self, text: str) -> _Tok:
-        tok = self.next()
-        if tok.text != text:
-            raise FormulaParseError(tok.pos, f"expected {text!r}, found {tok.text!r}")
-        return tok
-
-    def parse(self) -> CtlFormula:
-        f = self.or_expr()
-        tok = self.peek()
-        if tok is not None:
-            raise FormulaParseError(tok.pos, f"unexpected trailing {tok.text!r}")
-        return f
-
-    def or_expr(self) -> CtlFormula:
-        f = self.and_expr()
-        while (tok := self.peek()) is not None and tok.text == "|":
-            self.next()
-            f = FOr(f, self.and_expr())
-        return f
-
-    def and_expr(self) -> CtlFormula:
-        f = self.unary()
-        while (tok := self.peek()) is not None and tok.text == "&":
-            self.next()
-            f = FAnd(f, self.unary())
-        return f
-
-    def unary(self) -> CtlFormula:
-        tok = self.next()
-        if tok.text == "!":
-            return FNot(self.unary())
-        if tok.text in _PREFIX:
-            return _PREFIX[tok.text](self.unary())
-        if tok.text in ("E", "A"):
+    def atom(self, tok: str) -> CtlFormula:
+        if tok in ("E", "A"):
             self.expect("[")
-            left = self.or_expr()
+            left = self.expr()
             op = self.next()
-            if op.text not in ("U", "R"):
-                raise FormulaParseError(op.pos, f"expected 'U' or 'R', found {op.text!r}")
-            right = self.or_expr()
+            if op not in ("U", "R"):
+                self.fail(f"expected 'U' or 'R', found {op!r}")
+            right = self.expr()
             self.expect("]")
-            return _BRACKET[(tok.text, op.text)](left, right)
-        if tok.text == "(":
-            f = self.or_expr()
-            self.expect(")")
-            return f
-        if tok.text in RESERVED:
-            raise FormulaParseError(tok.pos, f"{tok.text!r} is reserved and cannot be a predicate")
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text):
-            return Pred(tok.text)
-        raise FormulaParseError(tok.pos, f"unexpected {tok.text!r}")
+            return _BRACKET[tok, op](left, right)
+        if tok in RESERVED:
+            self.fail(f"{tok!r} is reserved and cannot be a predicate")
+        if tok.isidentifier():
+            return Pred(tok)
+        self.fail(f"unexpected {tok!r}")
 
 
 def parse_formula(text: str) -> CtlFormula:
-    return _Parser(text).parse()
+    return _FormulaParser(text).parse()
 
 
-_OR, _AND, _UNARY, _ATOM = 1, 2, 3, 4
-
-_PREFIX_NAMES = {EX: "EX", AX: "AX", EF: "EF", AF: "AF", EG: "EG", AG: "AG"}
-_BRACKET_NAMES = {EU: ("E", "U"), AU: ("A", "U"), ER: ("E", "R"), AR: ("A", "R")}
-
-
-def _level(f: CtlFormula) -> int:
-    if isinstance(f, FOr):
-        return _OR
-    if isinstance(f, FAnd):
-        return _AND
-    if isinstance(f, (FNot, EX, AX, EF, AF, EG, AG)):
-        return _UNARY
-    return _ATOM
-
-
-def _render(f: CtlFormula, minimum: int) -> str:
+def _leaf_text(f: CtlFormula) -> str:
+    # The class names of the temporal operators are their surface syntax.
+    name = type(f).__name__
     if isinstance(f, Pred):
-        text = f.name
-    elif isinstance(f, FNot):
-        text = "!" + _render(f.arg, _UNARY)
-    elif isinstance(f, (EX, AX, EF, AF, EG, AG)):
-        text = f"{_PREFIX_NAMES[type(f)]} {_render(f.arg, _UNARY)}"
-    elif isinstance(f, (EU, AU, ER, AR)):
-        path, op = _BRACKET_NAMES[type(f)]
-        text = f"{path}[{_render(f.left, _OR)} {op} {_render(f.right, _OR)}]"
-    elif isinstance(f, FAnd):
-        text = f"{_render(f.left, _AND)} & {_render(f.right, _AND + 1)}"
-    elif isinstance(f, FOr):
-        text = f"{_render(f.left, _OR)} | {_render(f.right, _OR + 1)}"
-    else:
-        raise ValueError(f"unknown formula node {f!r}")
-    return f"({text})" if _level(f) < minimum else text
+        return f.name
+    if name in _FormulaParser.PREFIX:
+        return name + " "
+    if isinstance(f, (EU, AU, ER, AR)):
+        left, right = expr_text(f.left, _leaf_text), expr_text(f.right, _leaf_text)
+        return f"{name[0]}[{left} {name[1]} {right}]"
+    raise ValueError(f"unknown formula node {f!r}")
 
 
 def pretty(f: CtlFormula) -> str:
     """Minimal-paren rendering; ``parse_formula(pretty(f)) == f``."""
-    return _render(f, _OR)
+    return expr_text(f, _leaf_text)

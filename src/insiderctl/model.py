@@ -242,6 +242,137 @@ class InfraGraph:
 
 
 # ---------------------------------------------------------------------------
+# Boolean connectives, shared by policy conditions, state predicates and CTL
+# formulas: the nodes, a walk over their atoms, one printer, one parser core
+
+
+@dataclass(frozen=True)
+class Not:
+    arg: object
+
+
+@dataclass(frozen=True)
+class And:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Or:
+    left: object
+    right: object
+
+
+CondNot = PNot = Not
+CondAnd = PAnd = And
+CondOr = POr = Or
+
+
+def leaves(expr):
+    """The atoms of a boolean expression, left to right, without recursion."""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Not):
+            stack.append(e.arg)
+        elif isinstance(e, (And, Or)):
+            stack += (e.right, e.left)
+        else:
+            yield e
+
+
+_OR, _AND, _UNARY = 1, 2, 3
+
+
+def expr_text(e, leaf, minimum: int = _OR) -> str:
+    """Minimal-paren text of a boolean expression: ``!`` binds tighter than
+    ``&``, which binds tighter than ``|``; both associate to the left.
+    ``leaf(e)`` gives the text of every other node, and for a prefix
+    operator (a node with an ``arg``, like ``EX``) the text of the operator,
+    which its argument follows.  Atoms and prefix operators bind tightest,
+    so their text never needs parentheses."""
+    match e:
+        case And(left=a, right=b):
+            text, level = f"{expr_text(a, leaf, _AND)} & {expr_text(b, leaf, _AND + 1)}", _AND
+        case Or(left=a, right=b):
+            text, level = f"{expr_text(a, leaf, _OR)} | {expr_text(b, leaf, _OR + 1)}", _OR
+        case Not(arg=a):
+            return "!" + expr_text(a, leaf, _UNARY)
+        case _ if hasattr(e, "arg"):
+            return leaf(e) + expr_text(e.arg, leaf, _UNARY)
+        case _:
+            return leaf(e)
+    return f"({text})" if level < minimum else text
+
+
+class Parser:
+    """Recursive descent over ``|``, ``&``, prefix operators and
+    parentheses.  A language sets ``TOKEN`` (a regex whose three groups are
+    a word, a punctuation mark and a stray character), ``END`` (its word for
+    the whole input), ``error(pos, message)`` (the exception to raise),
+    ``PREFIX`` (prefix operator token to node) and ``atom(tok)``.  Each
+    level of prefix nesting costs one Python frame, and of parentheses two."""
+
+    PREFIX = {"!": Not}
+
+    def __init__(self, text: str):
+        self.text, self.tokens, self.starts, self.i = text, [], [], 0
+        for m in self.TOKEN.finditer(text):
+            if m.group(3):
+                raise self.error(m.start(3), f"unexpected character {m.group(3)!r}")
+            self.tokens.append(m.group(1) or m.group(2))
+            self.starts.append(m.start(m.lastindex))
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise self.error(len(self.text), f"unexpected end of {self.END}")
+        self.i += 1
+        return tok
+
+    def fail(self, message: str):
+        """Raise ``message`` at the token just read."""
+        raise self.error(self.starts[self.i - 1], message)
+
+    def expect(self, text: str) -> None:
+        tok = self.next()
+        if tok != text:
+            self.fail(f"expected {text!r}, found {tok!r}")
+
+    def parse(self):
+        e = self.expr()
+        if self.peek() is not None:
+            raise self.error(self.starts[self.i], f"unexpected trailing {self.peek()!r}")
+        return e
+
+    def expr(self):
+        """``|`` over ``&``, both left-associative, in one frame."""
+        e, ors = self.unary(), None
+        while (tok := self.peek()) == "&" or tok == "|":
+            self.i += 1
+            if tok == "&":
+                e = And(e, self.unary())
+            else:
+                ors = e if ors is None else Or(ors, e)
+                e = self.unary()
+        return e if ors is None else Or(ors, e)
+
+    def unary(self):
+        tok = self.next()
+        op = self.PREFIX.get(tok)
+        if op is not None:
+            return op(self.unary())
+        if tok == "(":
+            e = self.expr()
+            self.expect(")")
+            return e
+        return self.atom(tok)
+
+
+# ---------------------------------------------------------------------------
 # Policy conditions
 
 
@@ -296,23 +427,6 @@ class AllAtAuthorized(PolicyCondition):
         object.__setattr__(self, "allowed", frozenset(self.allowed))
 
 
-@dataclass(frozen=True)
-class CondNot(PolicyCondition):
-    arg: PolicyCondition
-
-
-@dataclass(frozen=True)
-class CondAnd(PolicyCondition):
-    left: PolicyCondition
-    right: PolicyCondition
-
-
-@dataclass(frozen=True)
-class CondOr(PolicyCondition):
-    left: PolicyCondition
-    right: PolicyCondition
-
-
 def eval_condition(
     cond: PolicyCondition,
     graph: InfraGraph,
@@ -335,13 +449,13 @@ def eval_condition(
             return len(graph.placement(loc)) >= count
         case AllAtAuthorized(loc=loc, allowed=allowed):
             return all(n in allowed for n in graph.placement(loc))
-        case CondNot(arg=arg):
+        case Not(arg=arg):
             return not eval_condition(arg, graph, requester, resolver)
-        case CondAnd(left=left, right=right):
+        case And(left=left, right=right):
             return eval_condition(left, graph, requester, resolver) and eval_condition(
                 right, graph, requester, resolver
             )
-        case CondOr(left=left, right=right):
+        case Or(left=left, right=right):
             return eval_condition(left, graph, requester, resolver) or eval_condition(
                 right, graph, requester, resolver
             )
@@ -424,23 +538,6 @@ class PInSet(PredExpr):
     set_name: str
 
 
-@dataclass(frozen=True)
-class PNot(PredExpr):
-    arg: PredExpr
-
-
-@dataclass(frozen=True)
-class PAnd(PredExpr):
-    left: PredExpr
-    right: PredExpr
-
-
-@dataclass(frozen=True)
-class POr(PredExpr):
-    left: PredExpr
-    right: PredExpr
-
-
 def subst_pred(expr: PredExpr, param: str, value: str) -> PredExpr:
     """Replace occurrences of the bound parameter in identity slots."""
     match expr:
@@ -450,12 +547,12 @@ def subst_pred(expr: PredExpr, param: str, value: str) -> PredExpr:
             return PAt(value if i == param else i, l)
         case PInSet(identity=i, set_name=s):
             return PInSet(value if i == param else i, s)
-        case PNot(arg=arg):
-            return PNot(subst_pred(arg, param, value))
-        case PAnd(left=left, right=right):
-            return PAnd(subst_pred(left, param, value), subst_pred(right, param, value))
-        case POr(left=left, right=right):
-            return POr(subst_pred(left, param, value), subst_pred(right, param, value))
+        case Not(arg=arg):
+            return Not(subst_pred(arg, param, value))
+        case And(left=left, right=right):
+            return And(subst_pred(left, param, value), subst_pred(right, param, value))
+        case Or(left=left, right=right):
+            return Or(subst_pred(left, param, value), subst_pred(right, param, value))
         case _:
             return expr
 
@@ -500,13 +597,13 @@ def _eval_pred_expr(expr: PredExpr, model: "Model", graph: InfraGraph) -> bool:
             if name not in model.identity_sets:
                 raise ModelError(f"unknown identity set {name!r}")
             return ident in model.identity_sets[name]
-        case PNot(arg=arg):
+        case Not(arg=arg):
             return not _eval_pred_expr(arg, model, graph)
-        case PAnd(left=left, right=right):
+        case And(left=left, right=right):
             return _eval_pred_expr(left, model, graph) and _eval_pred_expr(
                 right, model, graph
             )
-        case POr(left=left, right=right):
+        case Or(left=left, right=right):
             return _eval_pred_expr(left, model, graph) or _eval_pred_expr(
                 right, model, graph
             )
@@ -587,10 +684,14 @@ class Model:
                 if loc not in known:
                     raise ModelError(f"policy variant {vname!r} targets unknown location {loc}")
                 for pol in policies:
-                    self._check_condition(pol.condition, known)
+                    self._check_atoms(pol.condition, known, "policy condition")
         self._check_graph(self.initial, known)
         for pred in self.named_predicates.values():
-            self._check_predicate(pred, known)
+            if pred.param is not None and pred.param in self.identities:
+                raise ModelError(
+                    f"predicate {pred.name!r} parameter {pred.param!r} shadows a model identity"
+                )
+            self._check_atoms(pred.body, known, f"predicate {pred.name!r}", pred.param)
         self.resolver = build_resolver(self.insiders, self.identities)
 
     def _check_graph(self, graph: InfraGraph, known: set) -> None:
@@ -601,58 +702,20 @@ class Model:
             if ident not in self.identities:
                 raise ModelError(f"graph places unknown identity {ident!r}")
 
-    def _check_condition(self, cond: PolicyCondition, known: set) -> None:
-        match cond:
-            case RequesterAt(loc=l) | IsIn(loc=l) | CountAtLeast(loc=l) | AllAtAuthorized(loc=l):
-                if l not in known:
-                    raise ModelError(f"policy condition references unknown location {l}")
-            case CondNot(arg=a):
-                self._check_condition(a, known)
-            case CondAnd(left=a, right=b) | CondOr(left=a, right=b):
-                self._check_condition(a, known)
-                self._check_condition(b, known)
-            case _:
-                pass
-
-    def _check_predicate(self, pred: StatePredicate, known: set) -> None:
-        def walk(expr: PredExpr) -> None:
-            match expr:
-                case PEnables(loc=l, identity=i, action=a):
-                    if l not in known:
-                        raise ModelError(f"predicate {pred.name!r} references unknown location {l}")
-                    if a not in ACTIONS:
-                        raise ModelError(f"predicate {pred.name!r} references unknown action {a!r}")
-                    self._check_pred_identity(pred, i)
-                case PAt(identity=i, loc=l):
-                    if l not in known:
-                        raise ModelError(f"predicate {pred.name!r} references unknown location {l}")
-                    self._check_pred_identity(pred, i)
-                case PIsIn(loc=l) | PCountAtLeast(loc=l):
-                    if l not in known:
-                        raise ModelError(f"predicate {pred.name!r} references unknown location {l}")
-                case PInSet(identity=i, set_name=s):
-                    if s not in self.identity_sets:
-                        raise ModelError(f"predicate {pred.name!r} references unknown set {s!r}")
-                    self._check_pred_identity(pred, i)
-                case PNot(arg=a):
-                    walk(a)
-                case PAnd(left=a, right=b) | POr(left=a, right=b):
-                    walk(a)
-                    walk(b)
-                case _:
-                    pass
-
-        if pred.param is not None and pred.param in self.identities:
-            raise ModelError(
-                f"predicate {pred.name!r} parameter {pred.param!r} shadows a model identity"
-            )
-        walk(pred.body)
-
-    def _check_pred_identity(self, pred: StatePredicate, ident: str) -> None:
-        if ident == pred.param:
-            return
-        if ident not in self.identities:
-            raise ModelError(f"predicate {pred.name!r} references unknown identity {ident!r}")
+    def _check_atoms(self, expr, known: set, what: str, param: str | None = None) -> None:
+        """Check the names that the atoms of a condition or predicate use."""
+        for atom in leaves(expr):
+            loc, action = getattr(atom, "loc", None), getattr(atom, "action", None)
+            if loc is not None and loc not in known:
+                raise ModelError(f"{what} references unknown location {loc}")
+            if action is not None and action not in ACTIONS:
+                raise ModelError(f"{what} references unknown action {action!r}")
+            s = getattr(atom, "set_name", None)
+            if s is not None and s not in self.identity_sets:
+                raise ModelError(f"{what} references unknown set {s!r}")
+            ident = getattr(atom, "identity", param)
+            if ident != param and ident not in self.identities:
+                raise ModelError(f"{what} references unknown identity {ident!r}")
 
     @property
     def policy_map(self) -> dict:
@@ -798,13 +861,13 @@ def vector_condition(cond: PolicyCondition, t: Tables):
             k = t.loc_pos[loc]
             outside = [p for p, ident in enumerate(t.ids) if ident not in allowed]
             return lambda v, rep: k not in [v[p] for p in outside]
-        case CondNot(arg=arg):
+        case Not(arg=arg):
             inner = vector_condition(arg, t)
             return lambda v, rep: not inner(v, rep)
-        case CondAnd(left=left, right=right):
+        case And(left=left, right=right):
             a, b = vector_condition(left, t), vector_condition(right, t)
             return lambda v, rep: a(v, rep) and b(v, rep)
-        case CondOr(left=left, right=right):
+        case Or(left=left, right=right):
             a, b = vector_condition(left, t), vector_condition(right, t)
             return lambda v, rep: a(v, rep) or b(v, rep)
     raise ModelError(f"unknown policy condition node {cond!r}")

@@ -27,7 +27,8 @@ Policy conditions use atoms ``true``, ``requester_at(LOC)``,
 set is accepted in place of the bracketed list) combined with ``!``, ``&``,
 ``|`` and parentheses.  Predicate expressions use ``true``, ``false``,
 ``enables(LOC, ID, ACTION)``, ``at(ID, LOC)``, ``is_in(LOC, VAL)``,
-``count_at_least(LOC, N)``, ``inset(ID, SET)`` with the same connectives.
+``count_at_least(LOC, N)``, ``inset(ID, SET)`` with the same connectives,
+which CTL formulas share as well (see :class:`insiderctl.model.Parser`).
 
 ``serialize_model`` emits a canonical rendering (fixed section order,
 sorted entries) and ``parse_model(serialize_model(m))`` is structurally
@@ -47,9 +48,6 @@ from .model import (
     ActorPsyState,
     AllAtAuthorized,
     AtomicPolicy,
-    CondAnd,
-    CondNot,
-    CondOr,
     CountAtLeast,
     FoeControl,
     HasCred,
@@ -60,20 +58,19 @@ from .model import (
     Location,
     Model,
     ModelError,
-    PAnd,
     PAt,
     PBool,
     PCountAtLeast,
     PEnables,
     PInSet,
     PIsIn,
-    PNot,
-    POr,
+    Parser,
     PolicyCondition,
     PredExpr,
     RequesterAt,
     StatePredicate,
     TrueCond,
+    expr_text,
 )
 
 SECTIONS = (
@@ -113,79 +110,32 @@ class ModelParseError(ValueError):
 # Expression sub-language
 
 
-class _ExprError(ValueError):
-    pass
+class _AtomParser(Parser):
+    """Conditions and predicates: the shared connectives over a table that
+    maps each atom name to a builder.  A builder takes the parser and the
+    atom's arguments, so its parameter count fixes the atom's arity."""
 
+    TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|\d+)|([!&|(),\[\]])|(\S))")
+    END = "expression"
+    error = staticmethod(lambda pos, message: ModelError(message))
 
-_EXPR_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|\d+)|([!&|(),\[\]])|(\S))")
+    def __init__(self, text, atoms, kind, locations, identity_sets=None):
+        super().__init__(text)
+        self.atoms, self.kind = atoms, kind
+        self.locations, self.identity_sets = locations, identity_sets
 
-
-def _expr_tokens(text: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(text):
-        m = _EXPR_TOKEN.match(text, i)
-        if not m:
-            break
-        if m.group(3):
-            raise _ExprError(f"unexpected character {m.group(3)!r}")
-        out.append(m.group(1) or m.group(2))
-        i = m.end()
-    return out
-
-
-class _ExprParser:
-    """Shared recursive-descent core for condition and predicate
-    expressions; subclasses supply the atom vocabulary."""
-
-    def __init__(self, text: str):
-        self.tokens = _expr_tokens(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise _ExprError("unexpected end of expression")
-        self.i += 1
-        return tok
-
-    def expect(self, text):
-        tok = self.next()
-        if tok != text:
-            raise _ExprError(f"expected {text!r}, found {tok!r}")
-
-    def parse(self):
-        e = self.or_expr()
-        if self.peek() is not None:
-            raise _ExprError(f"unexpected trailing {self.peek()!r}")
-        return e
-
-    def or_expr(self):
-        e = self.and_expr()
-        while self.peek() == "|":
-            self.next()
-            e = self.make_or(e, self.and_expr())
-        return e
-
-    def and_expr(self):
-        e = self.unary()
-        while self.peek() == "&":
-            self.next()
-            e = self.make_and(e, self.unary())
-        return e
-
-    def unary(self):
-        tok = self.next()
-        if tok == "!":
-            return self.make_not(self.unary())
-        if tok == "(":
-            e = self.or_expr()
-            self.expect(")")
-            return e
-        return self.atom(tok)
+    def atom(self, tok):
+        build = self.atoms.get(tok)
+        arity = build.__code__.co_argcount - 1 if build else None
+        if arity == 0:
+            return build(self)
+        args = self.args()
+        if build is None:
+            raise ModelError(f"unknown {self.kind} atom {tok!r}")
+        if len(args) != arity:
+            s = "" if arity == 1 else "s"
+            raise ModelError(f"{tok} takes {arity} argument{s}, found {len(args)}")
+        return build(self, *args)
 
     def args(self) -> list:
         """Parse a parenthesised argument list; bracketed identity lists
@@ -208,170 +158,86 @@ class _ExprParser:
             if tok == ")":
                 return out
             if tok != ",":
-                raise _ExprError(f"expected ',' or ')', found {tok!r}")
+                raise ModelError(f"expected ',' or ')', found {tok!r}")
 
-    def make_not(self, e):
-        raise NotImplementedError
+    def name(self, arg) -> str:
+        if isinstance(arg, list):
+            raise ModelError(f"expected a name, found [{' '.join(arg)}]")
+        return arg
 
-    def make_and(self, a, b):
-        raise NotImplementedError
+    def loc(self, arg) -> Location:
+        loc = self.locations.get(self.name(arg))
+        if loc is None:
+            raise ModelError(f"unknown location {arg!r}")
+        return loc
 
-    def make_or(self, a, b):
-        raise NotImplementedError
-
-    def atom(self, tok):
-        raise NotImplementedError
-
-
-class _ConditionParser(_ExprParser):
-    def __init__(self, text, locations, identity_sets):
-        super().__init__(text)
-        self.locations = locations
-        self.identity_sets = identity_sets
-
-    make_not = staticmethod(CondNot)
-    make_and = staticmethod(CondAnd)
-    make_or = staticmethod(CondOr)
-
-    def loc(self, name):
-        if name not in self.locations:
-            raise _ExprError(f"unknown location {name!r}")
-        return self.locations[name]
-
-    def atom(self, tok):
-        if tok == "true":
-            return TrueCond()
-        args = self.args()
-        if tok == "requester_at":
-            (l,) = args
-            return RequesterAt(self.loc(l))
-        if tok == "has_cred":
-            (c,) = args
-            return HasCred(c)
-        if tok == "has_role":
-            (r,) = args
-            return HasRole(r)
-        if tok == "is_in":
-            l, v = args
-            return IsIn(self.loc(l), v)
-        if tok == "count_at_least":
-            l, n = args
-            return CountAtLeast(self.loc(l), int(n))
-        if tok == "all_at_in":
-            l, who = args
-            if isinstance(who, str):
-                if who not in self.identity_sets:
-                    raise _ExprError(f"unknown identity set {who!r}")
-                who = self.identity_sets[who]
-            return AllAtAuthorized(self.loc(l), frozenset(who))
-        raise _ExprError(f"unknown condition atom {tok!r}")
+    def members(self, arg) -> frozenset:
+        """A bracketed identity list, or the members of a named set."""
+        if isinstance(arg, list):
+            return frozenset(arg)
+        if arg not in self.identity_sets:
+            raise ModelError(f"unknown identity set {arg!r}")
+        return self.identity_sets[arg]
 
 
-class _PredicateParser(_ExprParser):
-    def __init__(self, text, locations):
-        super().__init__(text)
-        self.locations = locations
+_CONDITION_ATOMS = {
+    "true": lambda p: TrueCond(),
+    "requester_at": lambda p, l: RequesterAt(p.loc(l)),
+    "has_cred": lambda p, c: HasCred(p.name(c)),
+    "has_role": lambda p, r: HasRole(p.name(r)),
+    "is_in": lambda p, l, v: IsIn(p.loc(l), p.name(v)),
+    "count_at_least": lambda p, l, n: CountAtLeast(p.loc(l), int(p.name(n))),
+    # The set is resolved before the location, so it is reported first.
+    "all_at_in": lambda p, l, who: AllAtAuthorized(allowed=p.members(who), loc=p.loc(l)),
+}
 
-    make_not = staticmethod(PNot)
-    make_and = staticmethod(PAnd)
-    make_or = staticmethod(POr)
+_PREDICATE_ATOMS = {
+    "true": lambda p: PBool(True),
+    "false": lambda p: PBool(False),
+    "enables": lambda p, l, i, a: PEnables(p.loc(l), p.name(i), p.name(a)),
+    "at": lambda p, i, l: PAt(p.name(i), p.loc(l)),
+    "is_in": lambda p, l, v: PIsIn(p.loc(l), p.name(v)),
+    "count_at_least": lambda p, l, n: PCountAtLeast(p.loc(l), int(p.name(n))),
+    "inset": lambda p, i, s: PInSet(p.name(i), p.name(s)),
+}
 
-    def loc(self, name):
-        if name not in self.locations:
-            raise _ExprError(f"unknown location {name!r}")
-        return self.locations[name]
-
-    def atom(self, tok):
-        if tok == "true":
-            return PBool(True)
-        if tok == "false":
-            return PBool(False)
-        args = self.args()
-        if tok == "enables":
-            l, ident, action = args
-            return PEnables(self.loc(l), ident, action)
-        if tok == "at":
-            ident, l = args
-            return PAt(ident, self.loc(l))
-        if tok == "is_in":
-            l, v = args
-            return PIsIn(self.loc(l), v)
-        if tok == "count_at_least":
-            l, n = args
-            return PCountAtLeast(self.loc(l), int(n))
-        if tok == "inset":
-            ident, s = args
-            return PInSet(ident, s)
-        raise _ExprError(f"unknown predicate atom {tok!r}")
+# Atom class -> its name in a document; its fields print in order.
+_ATOM_NAMES = {
+    RequesterAt: "requester_at", HasCred: "has_cred", HasRole: "has_role", IsIn: "is_in",
+    CountAtLeast: "count_at_least", AllAtAuthorized: "all_at_in", PEnables: "enables",
+    PAt: "at", PIsIn: "is_in", PCountAtLeast: "count_at_least", PInSet: "inset",
+}
 
 
 def parse_condition(text: str, locations: dict, identity_sets: dict) -> PolicyCondition:
-    return _ConditionParser(text, locations, identity_sets).parse()
+    return _AtomParser(text, _CONDITION_ATOMS, "condition", locations, identity_sets).parse()
 
 
 def parse_predicate_expr(text: str, locations: dict) -> PredExpr:
-    return _PredicateParser(text, locations).parse()
+    return _AtomParser(text, _PREDICATE_ATOMS, "predicate", locations).parse()
 
 
-_C_OR, _C_AND, _C_UNARY = 1, 2, 3
+def _arg_text(arg) -> str:
+    if isinstance(arg, Location):
+        return arg.name
+    return f"[{' '.join(sorted(arg))}]" if isinstance(arg, frozenset) else str(arg)
+
+
+def _atom_text(atom) -> str:
+    if isinstance(atom, (TrueCond, PBool)):
+        return "false" if atom == PBool(False) else "true"
+    name = _ATOM_NAMES.get(type(atom))
+    if name is None:
+        raise ModelError(f"unknown expression node {atom!r}")
+    return f"{name}({', '.join(map(_arg_text, vars(atom).values()))})"
 
 
 def condition_text(cond: PolicyCondition) -> str:
-    def render(c, minimum):
-        match c:
-            case TrueCond():
-                text, level = "true", _C_UNARY
-            case RequesterAt(loc=l):
-                text, level = f"requester_at({l.name})", _C_UNARY
-            case HasCred(cred=t):
-                text, level = f"has_cred({t})", _C_UNARY
-            case HasRole(role=r):
-                text, level = f"has_role({r})", _C_UNARY
-            case IsIn(loc=l, value=v):
-                text, level = f"is_in({l.name}, {v})", _C_UNARY
-            case CountAtLeast(loc=l, count=n):
-                text, level = f"count_at_least({l.name}, {n})", _C_UNARY
-            case AllAtAuthorized(loc=l, allowed=a):
-                text, level = f"all_at_in({l.name}, [{' '.join(sorted(a))}])", _C_UNARY
-            case CondNot(arg=a):
-                text, level = "!" + render(a, _C_UNARY), _C_UNARY
-            case CondAnd(left=a, right=b):
-                text, level = f"{render(a, _C_AND)} & {render(b, _C_AND + 1)}", _C_AND
-            case CondOr(left=a, right=b):
-                text, level = f"{render(a, _C_OR)} | {render(b, _C_OR + 1)}", _C_OR
-            case _:
-                raise ModelError(f"unknown condition node {c!r}")
-        return f"({text})" if level < minimum else text
-
-    return render(cond, _C_OR)
+    return expr_text(cond, _atom_text)
 
 
 def predicate_text(expr: PredExpr) -> str:
-    def render(e, minimum):
-        match e:
-            case PBool(value=v):
-                text, level = ("true" if v else "false"), _C_UNARY
-            case PEnables(loc=l, identity=i, action=a):
-                text, level = f"enables({l.name}, {i}, {a})", _C_UNARY
-            case PAt(identity=i, loc=l):
-                text, level = f"at({i}, {l.name})", _C_UNARY
-            case PIsIn(loc=l, value=v):
-                text, level = f"is_in({l.name}, {v})", _C_UNARY
-            case PCountAtLeast(loc=l, count=n):
-                text, level = f"count_at_least({l.name}, {n})", _C_UNARY
-            case PInSet(identity=i, set_name=s):
-                text, level = f"inset({i}, {s})", _C_UNARY
-            case PNot(arg=a):
-                text, level = "!" + render(a, _C_UNARY), _C_UNARY
-            case PAnd(left=a, right=b):
-                text, level = f"{render(a, _C_AND)} & {render(b, _C_AND + 1)}", _C_AND
-            case POr(left=a, right=b):
-                text, level = f"{render(a, _C_OR)} | {render(b, _C_OR + 1)}", _C_OR
-            case _:
-                raise ModelError(f"unknown predicate node {e!r}")
-        return f"({text})" if level < minimum else text
-
-    return render(expr, _C_OR)
+    return expr_text(expr, _atom_text)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +426,7 @@ def parse_model(text: str) -> Model:
                     continue
                 try:
                     cond = parse_condition(m.group(3), locations, identity_sets)
-                except (_ExprError, ModelError, ValueError) as exc:
+                except ValueError as exc:
                     fail(e, f"bad condition: {exc}")
                     continue
                 pmap.setdefault(loc, set()).add(AtomicPolicy(cond, actions))
@@ -611,7 +477,7 @@ def parse_model(text: str) -> Model:
                 name, param, body = m.group(1), m.group(2), m.group(3)
                 try:
                     expr = parse_predicate_expr(body, locations)
-                except (_ExprError, ValueError) as exc:
+                except ValueError as exc:
                     fail(e, f"bad predicate: {exc}")
                     continue
                 if name in predicates:

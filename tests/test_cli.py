@@ -215,6 +215,22 @@ class TestExitCodeContract:
         result = run_module("check", MODEL, "!" * 3000 + "eve_ok")
         self.assert_error(result, "nested too deeply")
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "policies base\n  at a allow move if has_cred([a b])",
+            "policies base\n  at a allow move if requester_at([door])",
+            "policies base\n  at a allow move if is_in(door, [a])",
+            "predicates\n  p := inset(Eve, [a b])",
+        ],
+    )
+    def test_bracketed_list_where_a_name_belongs(self, tmp_path, entry):
+        path = tmp_path / "list.model"
+        path.write_text(f"locations\n  a 0\n  door 1\nidentities\n  Eve\n{entry}\n")
+        result = run_module("reach", str(path))
+        self.assert_error(result, "model file is invalid")
+        assert "  line 7: bad " in result.stderr and "internal error" not in result.stderr
+
     def test_model_file_not_utf8(self, tmp_path):
         path = tmp_path / "utf16.model"
         path.write_bytes(b"\xff\xfe" + Path(MODEL).read_text().encode("utf-16-le"))
@@ -232,3 +248,25 @@ class TestExitCodeContract:
         result = run_module("reach", MODEL, "--dot", str(target))
         self.assert_error(result, "cannot write DOT file")
         assert result.stdout == "states: 243\nedges: 4212\n"
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "!" * 800 + "eve_ok",
+        "EX " * 800 + "eve_ok",
+        "AG " * 800 + "eve_ok",
+        "(" * 250 + "eve_ok" + ")" * 250,
+        "E[eve_ok U " * 250 + "eve_ok" + "]" * 250,
+    ],
+    ids=["not", "EX", "AG", "parentheses", "EU"],
+)
+def test_nesting_capacity(tmp_path, formula):
+    """Deep but reasonable nesting gets a verdict: parsing, labelling and
+    printing each spend at most one Python frame per prefix level and a few
+    per bracket level, well inside the default recursion limit."""
+    path = tmp_path / "tiny.model"
+    path.write_text("locations\n  a 0\nidentities\n  Eve\npredicates\n  eve_ok := true\n")
+    result = run_module("check", str(path), formula)
+    assert result.returncode in (0, 1), result.stderr
+    assert result.stdout.rstrip().endswith((": holds", ": fails")), result.stdout[-200:]

@@ -1,9 +1,11 @@
 """Byte-for-byte pins of the engine's output: state order, state indices,
 edge order, DOT rendering and traces.
 
-The files under ``data/golden`` were written by the engine as it stood
-before states were keyed by :class:`insiderctl.ctl.State` tuples built from
-rule deltas; any later change to exploration has to reproduce them exactly.
+The output files under ``data/golden`` (all but ``diagnostics.txt``, which
+``test_diagnostics.py`` pins) were written by the engine as it stood
+before states were keyed by tuples built from rule deltas (today the flat
+state vectors of :func:`insiderctl.model.encode`); any later change to
+exploration has to reproduce them exactly.
 ``dot_sha256.json`` holds the SHA-256 of ``dot_export(reachable(m))`` for the
 baseline airplane and for ``genmodels.random_model(seed)``, seeds 0-59.
 """

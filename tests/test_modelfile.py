@@ -82,6 +82,14 @@ class TestDiagnostics:
         )
         assert any("bad condition" in d.message for d in diags)
 
+    def test_condition_atom_with_wrong_arity(self):
+        diags = self.err("locations\n  a 0\npolicies b\n  at a allow move if has_cred(a, b)\n")
+        assert [str(d) for d in diags] == ["line 4: bad condition: has_cred takes 1 argument, found 2"]
+
+    def test_predicate_atom_with_wrong_arity(self):
+        diags = self.err("locations\n  a 0\npredicates\n  p := at(Eve)\n")
+        assert [str(d) for d in diags] == ["line 4: bad predicate: at takes 2 arguments, found 1"]
+
     def test_bad_action(self):
         diags = self.err("locations\n  a 0\npolicies base\n  at a allow fly if true\n")
         assert any("unknown action 'fly'" in d.message for d in diags)
