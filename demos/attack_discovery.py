@@ -24,7 +24,7 @@ def main():
     model = airplane.build_airplane_model("baseline")
     print("== baseline airplane model ==")
     print("insider classes:", [sorted(c) for c in model.resolver.classes])
-    print("initial:", describe_graph(model.initial, model.locations))
+    print("initial:", describe_graph(model, model.initial))
 
     kripke = reachable(model)
     print(f"\nreachable states: {len(kripke.states)}")

@@ -1,14 +1,14 @@
 """Reachable state space construction and fixpoint-based CTL evaluation.
 
-Each state is a snapshot (:class:`InfraGraph`) together with its key, the
-flat state vector ``encode(model, graph)`` of location indices, credential
-and role sets and values (the policy map lives in the model and never
-changes along a transition, so it is factored out).  The reachable set is
-explored breadth-first with deterministic indexing: :func:`successors`
-derives each successor's vector from the source's and the rule's one-slot
-delta and looks it up in the table of known states first, so a snapshot is
-built and validated once per new state, not once per edge.  State sets are
-plain ``frozenset`` of indices.
+Each state is a flat state vector, ``encode(model, graph)``, of location
+indices, credential and role sets and values (the policy map and the edges
+live in the model and never change along a transition, so they are factored
+out).  The reachable set is explored breadth-first over vectors with
+deterministic indexing: :func:`successors` derives each successor's vector
+from the source's and the rule's one-slot delta, and no snapshot
+(:class:`InfraGraph`) is built.  Predicates run compiled over the vectors,
+and traces and DOT are rendered from them; ``KripkeModel.graph(i)`` builds a
+state's snapshot on request.  State sets are plain ``frozenset`` of indices.
 
 The ten CTL operators are evaluated as least/greatest fixpoints of their
 standard set transformers:
@@ -36,7 +36,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .model import And, InfraGraph, Model, ModelError, Not, Or, encode, eval_predicate
+from .model import And, InfraGraph, Model, ModelError, Not, Or, encode, tables
+from .model import eval_predicate  # noqa: F401  (bench/layers.py times calls to ctl.eval_predicate)
 from .transition import TransitionLabel, successors
 
 
@@ -61,23 +62,24 @@ class TraceError(ValueError):
 
 @dataclass
 class KripkeModel:
-    """Reachable state set with labelled edges and initial states.
+    """Reachable state set (state vectors) with labelled edges and initial
+    states.
 
     Always built by :func:`reachable`; the state list must be exactly the
     closure of the initial states under the stored edges, which the
-    constructor verifies.
+    constructor verifies.  :meth:`graph` builds a state's snapshot.
     """
 
     model: Model
     states: list[tuple]
-    graphs: list[InfraGraph]
     edges: list[list[tuple[TransitionLabel, int]]]
     init: frozenset[int]
     index: dict = field(repr=False)
+    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.states)
-        if not (len(self.graphs) == len(self.edges) == n):
+        if len(self.edges) != n:
             raise ModelError("inconsistent Kripke payload lengths")
         if not self.init or any(i not in range(n) for i in self.init):
             raise ModelError("initial states must be a non-empty subset of the state set")
@@ -98,6 +100,20 @@ class KripkeModel:
                 "state set is not the reachability closure of the initial states"
             )
 
+    def graph(self, i: int) -> InfraGraph:
+        """The validated snapshot of state ``i``: for the initial state the
+        snapshot exploration started from, for any other built from its
+        vector on first request."""
+        graph = self._graphs.get(i)
+        if graph is None:
+            graph = self._graphs[i] = tables(self.model).graph(self.states[i])
+        return graph
+
+    @property
+    def graphs(self) -> list[InfraGraph]:
+        """Every state's snapshot, in state order."""
+        return [self.graph(i) for i in range(len(self.states))]
+
     @property
     def universe(self) -> frozenset[int]:
         return frozenset(range(len(self.states)))
@@ -110,38 +126,34 @@ def reachable(
     model: Model, *, initial: InfraGraph | None = None, max_states: int | None = None
 ) -> KripkeModel:
     """Breadth-first closure of the transition rules from the initial
-    snapshot.  States are indexed by discovery order; raises
-    :class:`ExplorationLimitError` when ``max_states`` is exceeded.
-
-    ``index`` maps each state's key to its index and doubles as the
-    interning table of :func:`successors`, which builds a snapshot only for
-    a key not yet in it."""
+    snapshot, over state vectors.  States are indexed by discovery order;
+    raises :class:`ExplorationLimitError` when ``max_states`` is exceeded.
+    ``index`` maps each state's vector to its index."""
     start = model.initial if initial is None else initial
+    if start.edges != model.initial.edges:
+        # Every state shares the start's edges, which the model's tables fix.
+        model = model._clone(initial=start)
     states: list[tuple] = [encode(model, start)]
-    graphs: list[InfraGraph] = [start]
     index: dict[tuple, int] = {states[0]: 0}
     edges: list[list[tuple[TransitionLabel, int]]] = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            out = []
-            for label, st, graph in successors(model, graphs[i], index):
-                j = index.get(st)
-                if j is None:
-                    if max_states is not None and len(states) >= max_states:
-                        raise ExplorationLimitError(
-                            f"state space exceeds the cap of {max_states} states"
-                        )
-                    j = len(states)
-                    index[st] = j
-                    states.append(st)
-                    graphs.append(graph)
-                    nxt.append(j)
-                out.append((label, j))
-            edges.append(out)
-        frontier = nxt
-    return KripkeModel(model, states, graphs, edges, frozenset({0}), index)
+    # Breadth-first: states are expanded in discovery order, and the list
+    # grows while it is walked.
+    for v in states:
+        out = []
+        for label, succ in successors(model, v):
+            j = index.get(succ)
+            if j is None:
+                if max_states is not None and len(states) >= max_states:
+                    raise ExplorationLimitError(
+                        f"state space exceeds the cap of {max_states} states"
+                    )
+                j = index[succ] = len(states)
+                states.append(succ)
+            out.append((label, j))
+        edges.append(out)
+    k = KripkeModel(model, states, edges, frozenset({0}), index)
+    k._graphs[0] = start
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +313,8 @@ def eval_ctl(k: KripkeModel, formula: CtlFormula, *, debug: bool = False) -> fro
     def sat(f: CtlFormula) -> frozenset[int]:
         match f:
             case Pred(name=name):
-                pred = k.model.named_predicates.get(name)
-                if pred is None:
-                    raise ModelError(f"unknown predicate name {name!r}")
-                return frozenset(
-                    i for i in universe if eval_predicate(pred, k.model, k.graphs[i])
-                )
+                holds = tables(k.model).predicate(name)
+                return frozenset(i for i, v in enumerate(k.states) if holds(v, None))
             case Not(arg=a):
                 return universe - sat(a)
             case And(left=a, right=b):
@@ -471,32 +479,26 @@ def extract_trace(k: KripkeModel, formula: CtlFormula, mode: str) -> TracePath:
 # Presentation
 
 
-def describe_graph(graph: InfraGraph, locations) -> str:
-    """Compact one-line rendering of a snapshot's distinguishing fields."""
-    parts = []
-    for loc in sorted(locations, key=lambda l: l.id):
-        names = graph.placement(loc)
-        if names:
-            parts.append(f"{loc}:[{','.join(names)}]")
-    values = " ".join(
-        f"{loc}={graph.loc_value[loc]}"
-        for loc in sorted(graph.loc_value, key=lambda l: l.id)
-    )
-    return " ".join(parts) + (" | " + values if values else "")
+def describe_graph(model: Model, graph: InfraGraph) -> str:
+    """Compact one-line rendering of a snapshot's distinguishing fields
+    (see :meth:`~insiderctl.model.Tables.describe`)."""
+    return tables(model).describe(encode(model, graph))
 
 
 def format_trace(k: KripkeModel, path: TracePath) -> str:
-    lines = [f"s{path.states[0]}: {describe_graph(k.graphs[path.states[0]], k.model.locations)}"]
+    describe = tables(k.model).describe
+    lines = [f"s{path.states[0]}: {describe(k.states[path.states[0]])}"]
     for label, state in zip(path.labels, path.states[1:]):
-        lines.append(f"  --[{label}]--> s{state}: {describe_graph(k.graphs[state], k.model.locations)}")
+        lines.append(f"  --[{label}]--> s{state}: {describe(k.states[state])}")
     return "\n".join(lines)
 
 
 def dot_export(k: KripkeModel) -> str:
     """GraphViz rendering with stable node and edge ordering."""
     lines = ["digraph kripke {", "  rankdir=LR;", '  node [shape=box fontname="monospace"];']
-    for i, graph in enumerate(k.graphs):
-        desc = describe_graph(graph, k.model.locations).replace(" | ", "\\n").replace('"', "'")
+    describe = tables(k.model).describe
+    for i, v in enumerate(k.states):
+        desc = describe(v).replace(" | ", "\\n").replace('"', "'")
         extra = " penwidth=2" if i in k.init else ""
         lines.append(f'  s{i} [label="s{i}\\n{desc}"{extra}];')
     # Edges share interned labels, so each label is formatted once.

@@ -568,17 +568,24 @@ class StatePredicate:
     param: str | None = None
 
 
-def eval_predicate(
-    pred: StatePredicate, model: "Model", graph: InfraGraph, arg: str | None = None
-) -> bool:
-    body = pred.body
+def predicate_body(pred: StatePredicate, arg: str | None = None) -> PredExpr:
+    """``pred``'s body applied to ``arg``, which it must take exactly when
+    it has a parameter."""
     if pred.param is not None:
         if arg is None:
             raise ModelError(f"predicate {pred.name!r} requires an identity argument")
-        body = subst_pred(body, pred.param, arg)
-    elif arg is not None:
+        return subst_pred(pred.body, pred.param, arg)
+    if arg is not None:
         raise ModelError(f"predicate {pred.name!r} takes no argument")
-    return _eval_pred_expr(body, model, graph)
+    return pred.body
+
+
+def eval_predicate(
+    pred: StatePredicate, model: "Model", graph: InfraGraph, arg: str | None = None
+) -> bool:
+    """The reference evaluation of a named predicate on a snapshot; the
+    engine runs the form :meth:`Tables.predicate` compiles."""
+    return _eval_pred_expr(predicate_body(pred, arg), model, graph)
 
 
 def _eval_pred_expr(expr: PredExpr, model: "Model", graph: InfraGraph) -> bool:
@@ -716,6 +723,9 @@ class Model:
             ident = getattr(atom, "identity", param)
             if ident != param and ident not in self.identities:
                 raise ModelError(f"{what} references unknown identity {ident!r}")
+            if isinstance(atom, AllAtAuthorized) and not atom.allowed <= self.identities:
+                ident = min(atom.allowed - self.identities)
+                raise ModelError(f"{what} references unknown identity {ident!r}")
 
     @property
     def policy_map(self) -> dict:
@@ -762,17 +772,25 @@ class Tables:
     sorted order, then each identity's credential set, then each identity's
     role set, then each location's value (``None`` when it has none).  The
     policies and foe-control assumptions are compiled into one judgment
-    ``(vector, rep) -> bool`` per granted (location index, action), and the
-    transition rules intern their labels in ``labels``.
+    ``(vector, rep) -> bool`` per granted (location index, action), the
+    named predicates on request (:meth:`predicate`), and the transition
+    rules intern their labels in ``labels``.  Every state shares the initial
+    snapshot's edges, which no rule changes; ``targets`` are the indices of
+    the locations they touch, where ``move`` may go.
     """
 
     def __init__(self, model: Model) -> None:
         self.ids = ids = tuple(sorted(model.identities))
         self.locs = locs = model.locations
         self.layout, self.n, self.labels = (ids, locs), len(ids), {}
+        self.names = tuple(loc.name for loc in locs)
         self.id_pos = {ident: p for p, ident in enumerate(ids)}
         self.loc_pos = {loc: k for k, loc in enumerate(locs)}
-        rep_of, classes = model.resolver._rep, model.resolver._members
+        self.edges = model.initial.edges
+        self.targets = node_indices(locs, self.edges)
+        self.sets, self.named = model.identity_sets, model.named_predicates
+        self.rep_of = rep_of = model.resolver._rep
+        classes = model.resolver._members
         self.reps = reps = tuple(rep_of.get(i, i) for i in ids)
         # Member positions as ActorResolver.members gives them: a
         # representative's whole class, any other identity itself ...
@@ -797,9 +815,11 @@ class Tables:
         for (k, action), conds in granted.items():
             self.grant[action][k] = _judge(k, conds, outside.get((k, action)))
 
-    def graph(self, key: tuple, edges) -> InfraGraph:
-        """The validated snapshot with ``edges`` whose vector is ``key``."""
+    def graph(self, key: tuple, edges=None) -> InfraGraph:
+        """The validated snapshot whose vector is ``key``, with ``edges``
+        (by default the initial snapshot's)."""
         n, ids = self.n, self.ids
+        edges = self.edges if edges is None else edges
         placements: dict = {}
         for p in range(n):
             if key[p] >= 0:
@@ -808,6 +828,34 @@ class Tables:
         graph = InfraGraph(edges, placements, creds, roles, dict(zip(self.locs, key[3 * n :])))
         object.__setattr__(graph, "_state", (self.layout, key))
         return graph
+
+    def describe(self, key: tuple) -> str:
+        """One line for the snapshot whose vector is ``key``: the occupied
+        locations in id order with their identities, then ``|`` and the
+        location values."""
+        n, ids, names = self.n, self.ids, self.names
+        at: dict = {}
+        for p in range(n):
+            if key[p] >= 0:
+                at.setdefault(key[p], []).append(ids[p])
+        text = " ".join(f"{names[k]}:[{','.join(at[k])}]" for k in sorted(at))
+        values = " ".join(f"{names[k]}={x}" for k, x in enumerate(key[3 * n :]) if x is not None)
+        return f"{text} | {values}" if values else text
+
+    def predicate(self, name: str, arg: str | None = None):
+        """The named predicate applied to ``arg``, compiled into a closure
+        ``(vector, rep) -> bool`` that ignores ``rep``.  Agrees with
+        :func:`eval_predicate` on every snapshot."""
+        pred = self.named.get(name)
+        if pred is None:
+            raise ModelError(f"unknown predicate name {name!r}")
+        return vector_condition(predicate_body(pred, arg), self)
+
+
+def node_indices(locs, edges) -> list[int]:
+    """The indices in ``locs`` of the locations that ``edges`` touch."""
+    nodes = {loc for e in edges for loc in e}
+    return [k for k, loc in enumerate(locs) if loc in nodes]
 
 
 def tables(model: Model) -> Tables:
@@ -834,14 +882,22 @@ def _always(v: tuple, rep: str) -> bool:
     return True
 
 
-def vector_condition(cond: PolicyCondition, t: Tables):
-    """``cond`` as a closure ``(vector, rep) -> bool`` over ``t``'s layout,
-    where ``rep`` is the representative of the requesting class.  Agrees with
-    :func:`eval_condition` on every snapshot and class."""
+def _never(v: tuple, rep: str) -> bool:
+    return False
+
+
+def vector_condition(cond, t: Tables):
+    """``cond``, a policy condition or a predicate body, as a closure
+    ``(vector, rep) -> bool`` over ``t``'s layout, where ``rep`` is the
+    representative of the requesting class; predicate atoms ignore it.
+    Agrees with :func:`eval_condition` and :func:`eval_predicate` on every
+    snapshot and class.  ``enables`` reuses the judgments in ``t.grant``."""
     n = t.n
     match cond:
         case TrueCond():
             return _always
+        case PBool(value=value):
+            return _always if value else _never
         case RequesterAt(loc=loc):
             k, at = t.loc_pos[loc], t.at
             return lambda v, rep: k in [v[p] for p in at.get(rep, ())]
@@ -851,16 +907,26 @@ def vector_condition(cond: PolicyCondition, t: Tables):
         case HasRole(role=role):
             members, base = t.members, 2 * n
             return lambda v, rep: any(role in v[base + p] for p in members.get(rep, ()))
-        case IsIn(loc=loc, value=value):
+        case IsIn(loc=loc, value=value) | PIsIn(loc=loc, value=value):
             slot = 3 * n + t.loc_pos[loc]
             return lambda v, rep: v[slot] == value
-        case CountAtLeast(loc=loc, count=count):
+        case CountAtLeast(loc=loc, count=count) | PCountAtLeast(loc=loc, count=count):
             k = t.loc_pos[loc]
             return lambda v, rep: v[:n].count(k) >= count
         case AllAtAuthorized(loc=loc, allowed=allowed):
             k = t.loc_pos[loc]
             outside = [p for p, ident in enumerate(t.ids) if ident not in allowed]
             return lambda v, rep: k not in [v[p] for p in outside]
+        case PAt(identity=ident, loc=loc):
+            p, k = t.id_pos.get(ident), t.loc_pos[loc]
+            return _never if p is None else lambda v, rep: v[p] == k
+        case PInSet(identity=ident, set_name=name):
+            if name not in t.sets:
+                raise ModelError(f"unknown identity set {name!r}")
+            return _always if ident in t.sets[name] else _never
+        case PEnables(loc=loc, identity=ident, action=action):
+            judge, who = t.grant[action][t.loc_pos[loc]], t.rep_of.get(ident, ident)
+            return _never if judge is None else lambda v, rep: judge(v, who)
         case Not(arg=arg):
             inner = vector_condition(arg, t)
             return lambda v, rep: not inner(v, rep)
@@ -870,7 +936,7 @@ def vector_condition(cond: PolicyCondition, t: Tables):
         case Or(left=left, right=right):
             a, b = vector_condition(left, t), vector_condition(right, t)
             return lambda v, rep: a(v, rep) or b(v, rep)
-    raise ModelError(f"unknown policy condition node {cond!r}")
+    raise ModelError(f"unknown expression node {cond!r}")
 
 
 def encode(model: Model, graph: InfraGraph) -> tuple:

@@ -23,8 +23,9 @@ Blank lines and ``#`` comments are ignored.  Entry shapes::
 
 Policy conditions use atoms ``true``, ``requester_at(LOC)``,
 ``has_cred(TOK)``, ``has_role(TOK)``, ``is_in(LOC, VAL)``,
-``count_at_least(LOC, N)``, ``all_at_in(LOC, [ID...])`` (a named identity
-set is accepted in place of the bracketed list) combined with ``!``, ``&``,
+``count_at_least(LOC, N)``, ``all_at_in(LOC, [ID...])`` (model identities
+separated by spaces; a named identity set is accepted in place of the
+bracketed list) combined with ``!``, ``&``,
 ``|`` and parentheses.  Predicate expressions use ``true``, ``false``,
 ``enables(LOC, ID, ACTION)``, ``at(ID, LOC)``, ``is_in(LOC, VAL)``,
 ``count_at_least(LOC, N)``, ``inset(ID, SET)`` with the same connectives,
@@ -110,6 +111,9 @@ class ModelParseError(ValueError):
 # Expression sub-language
 
 
+_PUNCTUATION = frozenset("!&|(),[]")
+
+
 class _AtomParser(Parser):
     """Conditions and predicates: the shared connectives over a table that
     maps each atom name to a builder.  A builder takes the parser and the
@@ -119,10 +123,11 @@ class _AtomParser(Parser):
     END = "expression"
     error = staticmethod(lambda pos, message: ModelError(message))
 
-    def __init__(self, text, atoms, kind, locations, identity_sets=None):
+    def __init__(self, text, atoms, kind, locations, identity_sets=None, identities=None):
         super().__init__(text)
         self.atoms, self.kind = atoms, kind
         self.locations, self.identity_sets = locations, identity_sets
+        self.identities = identities
 
     def atom(self, tok):
         build = self.atoms.get(tok)
@@ -138,20 +143,21 @@ class _AtomParser(Parser):
         return build(self, *args)
 
     def args(self) -> list:
-        """Parse a parenthesised argument list; bracketed identity lists
-        come back as Python lists."""
+        """Parse a parenthesised argument list: each argument is a word or
+        a bracketed list of words, which comes back as a Python list."""
         self.expect("(")
         out = []
         while True:
             tok = self.next()
             if tok == "[":
                 names = []
-                while self.peek() not in ("]", None):
-                    item = self.next()
-                    if item != ",":
-                        names.append(item)
-                self.expect("]")
+                while (item := self.next()) != "]":
+                    if item in _PUNCTUATION:
+                        self.fail(f"expected a name or ']', found {item!r}")
+                    names.append(item)
                 out.append(names)
+            elif tok in _PUNCTUATION:
+                self.fail(f"expected an argument, found {tok!r}")
             else:
                 out.append(tok)
             tok = self.next()
@@ -174,6 +180,9 @@ class _AtomParser(Parser):
     def members(self, arg) -> frozenset:
         """A bracketed identity list, or the members of a named set."""
         if isinstance(arg, list):
+            unknown = sorted(set(arg) - self.identities) if self.identities is not None else ()
+            if unknown:
+                raise ModelError(f"unknown identity {unknown[0]!r}")
             return frozenset(arg)
         if arg not in self.identity_sets:
             raise ModelError(f"unknown identity set {arg!r}")
@@ -209,8 +218,14 @@ _ATOM_NAMES = {
 }
 
 
-def parse_condition(text: str, locations: dict, identity_sets: dict) -> PolicyCondition:
-    return _AtomParser(text, _CONDITION_ATOMS, "condition", locations, identity_sets).parse()
+def parse_condition(
+    text: str, locations: dict, identity_sets: dict, identities=None
+) -> PolicyCondition:
+    """Parse a policy condition; with ``identities``, a bracketed identity
+    list may only name those."""
+    return _AtomParser(
+        text, _CONDITION_ATOMS, "condition", locations, identity_sets, identities
+    ).parse()
 
 
 def parse_predicate_expr(text: str, locations: dict) -> PredExpr:
@@ -425,7 +440,7 @@ def parse_model(text: str) -> Model:
                     fail(e, f"unknown action {sorted(bad)[0]!r}")
                     continue
                 try:
-                    cond = parse_condition(m.group(3), locations, identity_sets)
+                    cond = parse_condition(m.group(3), locations, identity_sets, identities)
                 except ValueError as exc:
                     fail(e, f"bad condition: {exc}")
                     continue

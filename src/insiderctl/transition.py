@@ -19,10 +19,10 @@ re-writing the value a location already has) are kept.
 Each snapshot has a state vector, ``encode(model, graph)``: one flat tuple of
 location indices, credential and role sets and values (see
 :class:`~insiderctl.model.Tables`) that hashes and compares in C.  A rule
-instance changes one slot of it, so :func:`successors` derives each
-successor's vector by replacing that slot, builds the successor snapshot
-only when an interning table does not already hold the vector, and reuses
-one interned label per rule instance of the model.
+instance changes one slot of it, so :func:`successors` works on vectors: it
+derives each successor's vector by replacing that slot and reuses one
+interned label per rule instance of the model.  Given a snapshot, it builds
+the successor snapshots from those vectors.
 
 The ``eval`` action exists in the action vocabulary but has no transition
 rule; policies granting only ``eval`` are flagged by :func:`lint_model`.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import _EMPTY, InfraGraph, Location, Model, Tables, by_id, encode, tables
+from .model import _EMPTY, InfraGraph, Location, Model, Tables, by_id, encode, node_indices, tables
 from .model import enables  # noqa: F401  (bench/layers.py times calls to transition.enables)
 
 
@@ -83,61 +83,59 @@ def _label(t: Tables, rule: str, p: int, a: int, b, cred: str | None = None) -> 
     return TransitionLabel(rule, t.ids[p], loc=t.locs[a], value=b)
 
 
-def successors(model: Model, graph: InfraGraph, table: dict | None = None) -> list:
-    """Every enabled rule instance from ``graph``, in deterministic order.
+def successors(model: Model, state) -> list:
+    """Every enabled rule instance from ``state``, in deterministic order.
 
-    Without ``table``, a list of ``(label, successor graph)`` pairs.
-
-    With an interning ``table`` (a mapping whose keys are state vectors), a
-    list of ``(label, key, graph)`` triples: ``key`` is the successor's
-    vector, ``encode(model, graph)`` with the one slot the rule changes
-    replaced, and ``graph`` is ``None`` when ``key`` is already in ``table``.
-    Only new keys are built into (fully validated) snapshots, each once per
-    call, with the key cached on it.  No-op instances (a move to the current
-    location, a credential already held, the current value) have the source
-    key.
+    ``state`` is a state vector (see :class:`~insiderctl.model.Tables`),
+    and the result is a list of ``(label, successor vector)`` pairs; or it
+    is a snapshot, and the result is a list of ``(label, successor
+    snapshot)`` pairs built from those vectors.  No-op instances (a move to
+    the current location, a credential already held, the current value)
+    lead to an equal vector, or to the snapshot ``state`` itself.
     """
     t = tables(model)
-    v = encode(model, graph)
+    if not isinstance(state, InfraGraph):
+        return _step(t, state, t.targets)
+    v, edges = encode(model, state), state.edges
+    # A snapshot keeps its own edges, which may differ from the model's.
+    targets = t.targets if edges == t.edges else node_indices(t.locs, edges)
+    return [
+        (label, state if succ == v else t.graph(succ, edges))
+        for label, succ in _step(t, v, targets)
+    ]
+
+
+def _step(t: Tables, v: tuple, targets: list) -> list:
+    """The ``(label, successor vector)`` pairs of vector ``v``, where
+    ``move`` may go to the location indices in ``targets``.  Each
+    successor replaces one slot of ``v``; each label is interned in
+    ``t.labels`` under its rule, slots and credential or value."""
     n, reps, labels = t.n, t.reps, t.labels
-    known = {} if table is None else table
-    built = {v: graph}
+    moving, getting, putting = t.grant["move"], t.grant["get"], t.grant["put"]
     out: list = []
+    append = out.append
 
-    def emit(key: tuple, succ: tuple) -> None:
-        label = labels.get(key)
-        if label is None:
-            label = labels[key] = _label(t, *key)
-        target = None
-        if succ not in known:
-            target = built.get(succ)
-            if target is None:
-                target = built[succ] = t.graph(succ, graph.edges)
-        out.append((label, succ, target))
+    def label_of(key: tuple) -> TransitionLabel:
+        label = labels[key] = _label(t, *key)
+        return label
 
-    memo: dict = {}
-
-    def allowed(action: str, rep: str, among) -> list:
-        """The location indices in ``among`` where ``rep``'s class may do
-        ``action``; each action is asked about one ``among`` per call."""
-        ks = memo.get((action, rep))
-        if ks is None:
-            judges = t.grant[action]
-            ks = memo[(action, rep)] = [
-                k for k in among if judges[k] is not None and judges[k](v, rep)
-            ]
-        return ks
-
-    nodes = graph.nodes()
-    targets = [k for k, loc in enumerate(t.locs) if loc in nodes]
+    # The location indices where each class may move and put, worked out
+    # once per class for this vector.
+    moves: dict = {}
     for p in range(n):
-        if v[p] in targets:
-            for dst in allowed("move", reps[p], targets):
-                emit(("move", p, v[p], dst), v[:p] + (dst,) + v[p + 1 :])
+        src = v[p]
+        if src in targets:
+            rep = reps[p]
+            ks = moves.get(rep)
+            if ks is None:
+                ks = moves[rep] = [k for k in targets if moving[k] and moving[k](v, rep)]
+            for dst in ks:
+                key = ("move", p, src, dst)
+                append((labels.get(key) or label_of(key), v[:p] + (dst,) + v[p + 1 :]))
 
     for p in range(n):
         k = v[p]
-        if k < 0 or k not in allowed("get", reps[p], range(len(t.locs))):
+        if k < 0 or not getting[k] or not getting[k](v, reps[p]):
             continue
         creds = sorted(_EMPTY.union(*(v[n + m] for m in t.members[reps[p]])))
         for r in range(n):
@@ -146,23 +144,29 @@ def successors(model: Model, graph: InfraGraph, table: dict | None = None) -> li
             held = v[n + r]
             for cred in creds:
                 succ = v if cred in held else v[: n + r] + (held | {cred},) + v[n + r + 1 :]
-                emit(("get", r, p, k, cred), succ)
+                key = ("get", r, p, k, cred)
+                append((labels.get(key) or label_of(key), succ))
+
+    puts: dict = {}
+    for rep in reps:
+        if rep not in puts:
+            puts[rep] = [k for k in t.writable if putting[k] and putting[k](v, rep)]
 
     def put(rule: str, p: int, k: int) -> None:
         slot = 3 * n + k
         for value in t.alphabet[k]:
-            emit((rule, p, k, value), v if value == v[slot] else v[:slot] + (value,) + v[slot + 1 :])
+            succ = v if value == v[slot] else v[:slot] + (value,) + v[slot + 1 :]
+            key = (rule, p, k, value)
+            append((labels.get(key) or label_of(key), succ))
 
     for p in range(n):
-        if v[p] in allowed("put", reps[p], t.writable):
+        if v[p] in puts[reps[p]]:
             put("put", p, v[p])
 
     for p in range(n):
-        for k in allowed("put", reps[p], t.writable):
+        for k in puts[reps[p]]:
             put("put_remote", p, k)
 
-    if table is None:
-        return [(label, target) for label, _, target in out]
     return out
 
 

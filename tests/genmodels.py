@@ -1,8 +1,10 @@
 """Seeded random small models for cross-checking the engine against the
-naive oracles: at most 4 locations, 4 identities, and 2-token alphabets."""
+naive oracles: at most 4 locations, 4 identities, and 2-token alphabets;
+and the airplane with extra cabin passengers."""
 
 import random
 
+from insiderctl import airplane
 from insiderctl.model import (
     ActorPsyState,
     AllAtAuthorized,
@@ -136,3 +138,12 @@ def random_model(seed: int) -> Model:
         named_predicates=predicates,
         assumptions=assumptions,
     )
+
+
+def with_passengers(model: Model, count: int) -> Model:
+    """``model`` with ``count`` extra credential-less identities in the cabin."""
+    names = tuple(f"Pax{i}" for i in range(1, count + 1))
+    g = model.initial
+    placements = {**g.placements, airplane.cabin: g.placement(airplane.cabin) + names}
+    initial = InfraGraph(g.edges, placements, g.credentials, g.roles, g.loc_value)
+    return model._clone(identities=model.identities | set(names), initial=initial)

@@ -231,6 +231,22 @@ class TestExitCodeContract:
         self.assert_error(result, "model file is invalid")
         assert "  line 7: bad " in result.stderr and "internal error" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "policies base\n  at a allow move if has_cred())",
+            "policies base\n  at a allow move if all_at_in(a, [Eve [])",
+            "policies base\n  at a allow move if all_at_in(a, [Eve Zed])",
+            "predicates\n  p := at(Eve, ))",
+        ],
+    )
+    def test_malformed_argument_list(self, tmp_path, entry):
+        path = tmp_path / "args.model"
+        path.write_text(f"locations\n  a 0\n  door 1\nidentities\n  Eve\n{entry}\n")
+        result = run_module("reach", str(path))
+        self.assert_error(result, "model file is invalid")
+        assert "  line 7: bad " in result.stderr and "internal error" not in result.stderr
+
     def test_model_file_not_utf8(self, tmp_path):
         path = tmp_path / "utf16.model"
         path.write_bytes(b"\xff\xfe" + Path(MODEL).read_text().encode("utf-16-le"))

@@ -126,7 +126,7 @@ class TestReachable:
     def test_non_closed_payload_rejected(self, baseline_kripke):
         k = baseline_kripke
         with pytest.raises(ModelError):
-            KripkeModel(k.model, k.states, k.graphs, [[] for _ in k.states], k.init, k.index)
+            KripkeModel(k.model, k.states, [[] for _ in k.states], k.init, k.index)
 
 
 class TestFixpoints:

@@ -45,6 +45,13 @@ CONDITIONS = [
     "true &",
     "true | | true",
     ")",
+    "has_cred())",
+    "has_cred(&)",
+    "all_at_in(a, [Ann [])",
+    "all_at_in(a, [Ann (Ben])",
+    "all_at_in(a, [Ann) Ben])",
+    "all_at_in(a, [Ann, Ben])",
+    "all_at_in(a, [Ann Zed])",
 ]
 
 PREDICATES = [
@@ -62,6 +69,8 @@ PREDICATES = [
     "false & @",
     "count_at_least(a, -1)",
     "!(true | false",
+    "at(Eve, ))",
+    "enables(a, (, put)",
 ]
 
 FORMULAS = [

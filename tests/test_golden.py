@@ -7,7 +7,11 @@ before states were keyed by tuples built from rule deltas (today the flat
 state vectors of :func:`insiderctl.model.encode`); any later change to
 exploration has to reproduce them exactly.
 ``dot_sha256.json`` holds the SHA-256 of ``dot_export(reachable(m))`` for the
-baseline airplane and for ``genmodels.random_model(seed)``, seeds 0-59.
+baseline airplane, for ``genmodels.random_model(seed)``, seeds 0-59, and for
+the models of ``AIRPLANES``: the baseline with one and two extra cabin
+passengers and four_eyes with and without ``foe:cockpit:put:Eve``.  These
+last four were written by the engine that still built every state's
+snapshot during exploration.
 """
 
 import hashlib
@@ -16,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from genmodels import random_model
-from insiderctl.airplane import build_airplane_model
+from genmodels import random_model, with_passengers
+from insiderctl.airplane import build_airplane_model, cockpit_foe_control
 from insiderctl.cli import run_command
 from insiderctl.ctl import dot_export, reachable
 
@@ -67,6 +71,21 @@ def _digest(model) -> str:
 
 def test_baseline_dot_digest():
     assert _digest(build_airplane_model("baseline")) == DIGESTS["airplane/baseline"]
+
+
+AIRPLANES = {
+    "airplane/baseline+1pax": lambda: with_passengers(build_airplane_model("baseline"), 1),
+    "airplane/baseline+2pax": lambda: with_passengers(build_airplane_model("baseline"), 2),
+    "airplane/four_eyes": lambda: build_airplane_model("four_eyes"),
+    "airplane/four_eyes+foe": lambda: build_airplane_model("four_eyes").with_assumptions(
+        [cockpit_foe_control()]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", AIRPLANES)
+def test_airplane_dot_digest(name):
+    assert _digest(AIRPLANES[name]()) == DIGESTS[name]
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -1,7 +1,8 @@
-"""The flat state vector, lookup-before-build successors and the policy
-conditions compiled over the vector, cross-checked on seeded random models,
-on the airplane with one and two extra cabin passengers, and on the paper's
-variants with and without the cockpit foe-control assumption.
+"""The flat state vector, successors over vectors, snapshots built on
+request, and the policy conditions and named predicates compiled over the
+vector, cross-checked on seeded random models, on the airplane with one and
+two extra cabin passengers, and on the paper's variants with and without the
+cockpit foe-control assumption.
 
 ``genmodels.random_model`` seeds 0-59 cover the ``get`` rule, insider
 classes and deadlocking models.
@@ -9,10 +10,20 @@ classes and deadlocking models.
 
 import pytest
 
-from genmodels import random_model
+from genmodels import random_model, with_passengers
 from oracles import o_enables, o_reps, o_world
 from insiderctl import airplane
-from insiderctl.ctl import encode, reachable
+from insiderctl.ctl import (
+    Pred,
+    check,
+    dot_export,
+    encode,
+    extract_trace,
+    format_trace,
+    reachable,
+    shortest_path,
+)
+from insiderctl.formula import parse_formula
 from insiderctl.model import (
     ACTIONS,
     ActorClassId,
@@ -21,6 +32,7 @@ from insiderctl.model import (
     ModelError,
     enables,
     eval_condition,
+    eval_predicate,
     tables,
     vector_condition,
 )
@@ -32,15 +44,6 @@ SEEDS = range(60)
 def fresh(graph: InfraGraph) -> InfraGraph:
     """An equal snapshot built anew, with no cached key."""
     return InfraGraph(graph.edges, graph.placements, graph.credentials, graph.roles, graph.loc_value)
-
-
-def with_passengers(model, count: int):
-    """``model`` with ``count`` extra credential-less identities in the cabin."""
-    names = tuple(f"Pax{i}" for i in range(1, count + 1))
-    g = model.initial
-    placements = {**g.placements, airplane.cabin: g.placement(airplane.cabin) + names}
-    initial = InfraGraph(g.edges, placements, g.credentials, g.roles, g.loc_value)
-    return model._clone(identities=model.identities | set(names), initial=initial)
 
 
 def paper_models():
@@ -80,23 +83,88 @@ def test_state_keys_equal_fresh_encodings(explored):
             assert k.index[k.states[i]] == i
 
 
-def test_successors_with_and_without_table_agree(explored):
+def test_vector_successors_agree_with_graph_successors(explored):
     for name, k in explored:
-        for i, graph in enumerate(k.graphs):
-            plain = successors(k.model, fresh(graph))
-            for table in ({}, k.index):
-                interned = successors(k.model, graph, table)
-                assert [label for label, _, _ in interned] == [label for label, _ in plain]
-                built = {}
-                for (label, key, target), (_, expected) in zip(interned, plain):
-                    assert key == encode(k.model, fresh(expected)), (name, i, str(label))
-                    if key in table:
-                        assert target is None
-                        target = k.graphs[table[key]]
-                    else:
-                        # each new key is built once per call
-                        assert built.setdefault(key, target) is target
-                    assert target == expected, (name, i, str(label))
+        for i, v in enumerate(k.states):
+            plain_source = fresh(k.graph(i))
+            plain = successors(k.model, plain_source)
+            vectors = successors(k.model, v)
+            assert [label for label, _ in vectors] == [label for label, _ in plain]
+            for (label, key), (_, expected) in zip(vectors, plain):
+                assert key == encode(k.model, fresh(expected)), (name, i, str(label))
+                assert k.graph(k.index[key]) == expected, (name, i, str(label))
+                if key == v:  # a no-op leads back to the snapshot itself
+                    assert expected is plain_source, (name, i, str(label))
+
+
+def test_snapshots_on_request_round_trip(explored):
+    for name, k in explored:
+        assert k.graph(0) == k.model.initial
+        for i, v in enumerate(k.states):
+            graph = k.graph(i)
+            assert graph is k.graph(i)
+            assert graph == fresh(graph), (name, i)
+            assert encode(k.model, fresh(graph)) == v, (name, i)
+        assert k.graphs == [k.graph(i) for i in range(len(k.states))]
+
+
+def test_compiled_predicates_agree_with_eval_predicate(explored):
+    for name, k in explored:
+        t = tables(k.model)
+        for pname, pred in k.model.named_predicates.items():
+            args = [None] if pred.param is None else sorted(k.model.identities) + ["Nobody"]
+            for arg in args:
+                compiled = t.predicate(pname, arg)
+                for i, v in enumerate(k.states):
+                    expected = eval_predicate(pred, k.model, k.graph(i), arg)
+                    assert compiled(v, None) == expected, (name, pname, arg, i)
+
+
+def test_predicate_errors_are_model_errors(baseline_kripke):
+    t = tables(baseline_kripke.model)
+    for name, arg, message in (
+        ("nope", None, "unknown predicate name 'nope'"),
+        ("global_ok", None, "requires an identity argument"),
+        ("eve_ok", "Eve", "takes no argument"),
+    ):
+        with pytest.raises(ModelError, match=message):
+            t.predicate(name, arg)
+    with pytest.raises(ModelError, match="requires an identity argument"):
+        check(baseline_kripke, Pred("global_ok"))
+
+
+def test_exploring_from_a_snapshot_with_other_edges(baseline_model):
+    g = baseline_model.initial
+    edges = frozenset(e for e in g.edges if airplane.cockpit not in e)
+    start = InfraGraph(edges, g.placements, g.credentials, g.roles, g.loc_value)
+    k = reachable(baseline_model, initial=start)
+    assert k.graph(0) == start and len(k.states) < 243
+    for i in range(len(k.states)):
+        assert k.graph(i).edges == edges
+        expected = [(label, k.graph(j)) for label, j in k.edges[i]]
+        assert successors(baseline_model, k.graph(i)) == expected
+
+
+def test_engine_builds_no_snapshot(monkeypatch):
+    model = with_passengers(airplane.build_airplane_model("baseline"), 1)
+    built = []
+    post_init = InfraGraph.__post_init__
+
+    def counting(graph):
+        built.append(graph)
+        post_init(graph)
+
+    monkeypatch.setattr(InfraGraph, "__post_init__", counting)
+    k = reachable(model)
+    assert check(k, parse_formula("AG (EF eve_ok)")).holds
+    dot_export(k)
+    for formula, mode in (("EF eve_violates", "witness"), ("AG eve_ok", "counterexample")):
+        format_trace(k, extract_trace(k, parse_formula(formula), mode))
+    format_trace(k, shortest_path(k, frozenset({len(k.states) - 1})))
+    assert len(k.states) == 486 and built == []
+    assert k.graph(0) is model.initial and built == []
+    k.graph(1)
+    assert len(built) == 1
 
 
 def test_compiled_conditions_agree_with_eval_condition(explored):

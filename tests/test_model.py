@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from insiderctl.model import (
     ActorPsyState,
+    AllAtAuthorized,
     AtomicPolicy,
     CountAtLeast,
     FoeControl,
@@ -255,3 +256,10 @@ class TestModelValidation:
             Location(0, "two words")
         with pytest.raises(ModelError):
             Location(-1, "cabin")
+
+    def test_all_at_in_names_only_model_identities(self):
+        m = build_airplane_model("baseline")
+        cond = AllAtAuthorized(cockpit, {"Alice", "Zed"})
+        pmap = {**m.policy_map, door: m.policies_at(door) | {AtomicPolicy(cond, {"put"})}}
+        with pytest.raises(ModelError, match="policy condition references unknown identity 'Zed'"):
+            m._clone(policy_variants={**m.policy_variants, "baseline": pmap})

@@ -90,6 +90,25 @@ class TestDiagnostics:
         diags = self.err("locations\n  a 0\npredicates\n  p := at(Eve)\n")
         assert [str(d) for d in diags] == ["line 4: bad predicate: at takes 2 arguments, found 1"]
 
+    def test_all_at_in_names_only_known_identities(self):
+        diags = self.err(
+            "locations\n  a 0\nidentities\n  Ann\npolicies b\n"
+            "  at a allow move if all_at_in(a, [Ann Zed])\n"
+        )
+        assert [str(d) for d in diags] == ["line 6: bad condition: unknown identity 'Zed'"]
+
+    @pytest.mark.parametrize(
+        "cond, found",
+        [
+            ("has_cred())", "an argument, found ')'"),
+            ("all_at_in(a, [Ann [])", "a name or ']', found '['"),
+        ],
+    )
+    def test_argument_lists_take_only_names(self, cond, found):
+        doc = f"locations\n  a 0\nidentities\n  Ann\npolicies b\n  at a allow move if {cond}\n"
+        diags = self.err(doc)
+        assert [str(d) for d in diags] == [f"line 6: bad condition: expected {found}"]
+
     def test_bad_action(self):
         diags = self.err("locations\n  a 0\npolicies base\n  at a allow fly if true\n")
         assert any("unknown action 'fly'" in d.message for d in diags)
