@@ -25,8 +25,6 @@ invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     ActorPsyState,
     AllAtAuthorized,
@@ -49,6 +47,7 @@ from .model import (
     enables,
     eval_predicate,
 )
+from .record import record
 
 cabin = Location(0, "cabin")
 door = Location(1, "door")
@@ -239,7 +238,7 @@ def cockpit_foe_control(foe: str = "Eve"):
     return FoeControl(cockpit, "put", foe)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RiskComparison:
     one_person: float
     two_person: float

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import airplane, door
 from .ctl import (
     AG,
     EF,
@@ -152,6 +151,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_risk(args) -> int:
+    from . import airplane
+
     try:
         result = airplane.risk_compare(args.p0, args.p1, args.p2)
     except ValueError as exc:
@@ -163,6 +164,8 @@ def _cmd_risk(args) -> int:
 
 
 def _cmd_door_sim(args) -> int:
+    from . import door
+
     try:
         with open(args.script, encoding="utf-8") as fh:
             events = door.parse_script(fh.read())
@@ -175,6 +178,8 @@ def _cmd_door_sim(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    from . import airplane
+
     sys.stdout.write(serialize_model(airplane.build_airplane_model(args.variant)))
     return OK
 

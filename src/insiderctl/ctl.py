@@ -33,11 +33,9 @@ also under ``python -O``.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-
 from .model import And, InfraGraph, Model, ModelError, Not, Or, encode, tables
 from .model import eval_predicate  # noqa: F401  (bench/layers.py times calls to ctl.eval_predicate)
+from .record import field, record
 from .transition import TransitionLabel, successors
 
 
@@ -60,7 +58,7 @@ class TraceError(ValueError):
 # Kripke structures
 
 
-@dataclass
+@record
 class KripkeModel:
     """Reachable state set (state vectors) with labelled edges and initial
     states.
@@ -160,8 +158,10 @@ def reachable(
 # Fixpoint iteration
 
 
-def _spot_check_monotone(transformer, universe: frozenset[int], rng: random.Random) -> None:
-    items = sorted(universe)
+def _spot_check_monotone(transformer, universe: frozenset[int], seed: int) -> None:
+    import random  # debug mode only; a plain check does not load it
+
+    rng, items = random.Random(seed), sorted(universe)
     for _ in range(min(32, 4 * len(items) + 4)):
         p = frozenset(x for x in items if rng.random() < 0.5)
         q = p | frozenset(x for x in items if rng.random() < 0.5)
@@ -173,7 +173,7 @@ def lfp_iterate(transformer, universe: frozenset[int], *, debug: bool = False) -
     """Iterate a monotone transformer from the empty set to its least
     fixpoint; converges within ``|universe| + 1`` applications."""
     if debug:
-        _spot_check_monotone(transformer, universe, random.Random(0))
+        _spot_check_monotone(transformer, universe, 0)
     current: frozenset[int] = frozenset()
     for _ in range(len(universe) + 1):
         nxt = transformer(current)
@@ -190,7 +190,7 @@ def lfp_iterate(transformer, universe: frozenset[int], *, debug: bool = False) -
 def gfp_iterate(transformer, universe: frozenset[int], *, debug: bool = False) -> frozenset[int]:
     """Dual of :func:`lfp_iterate`: iterate downward from the universe."""
     if debug:
-        _spot_check_monotone(transformer, universe, random.Random(1))
+        _spot_check_monotone(transformer, universe, 1)
     current = universe
     for _ in range(len(universe) + 1):
         nxt = transformer(current)
@@ -214,7 +214,7 @@ class CtlFormula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pred(CtlFormula):
     name: str
 
@@ -223,55 +223,55 @@ class Pred(CtlFormula):
 FNot, FAnd, FOr = Not, And, Or
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EX(CtlFormula):
     arg: CtlFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AX(CtlFormula):
     arg: CtlFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EF(CtlFormula):
     arg: CtlFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AF(CtlFormula):
     arg: CtlFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EG(CtlFormula):
     arg: CtlFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AG(CtlFormula):
     arg: CtlFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EU(CtlFormula):
     left: CtlFormula
     right: CtlFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AU(CtlFormula):
     left: CtlFormula
     right: CtlFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ER(CtlFormula):
     left: CtlFormula
     right: CtlFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AR(CtlFormula):
     left: CtlFormula
     right: CtlFormula
@@ -362,7 +362,7 @@ def eval_ctl(k: KripkeModel, formula: CtlFormula, *, debug: bool = False) -> fro
     return sat(formula)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Verdict:
     holds: bool
     sat: frozenset[int]
@@ -379,7 +379,7 @@ def check(k: KripkeModel, formula: CtlFormula, *, debug: bool = False) -> Verdic
 # Paths, witnesses, counterexamples
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TracePath:
     """A labelled path: ``states[0]`` is an initial state and
     ``labels[i]`` takes ``states[i]`` to ``states[i + 1]``."""

@@ -15,7 +15,7 @@ the earliest window).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 
 NORMAL = "Normal"
 UNLOCKED = "Unlocked"
@@ -26,7 +26,7 @@ WINDOW = 5.0
 LOCKOUT = 300.0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DoorState:
     mode: str = NORMAL
     clock: float = 0.0
@@ -39,7 +39,7 @@ class DoorState:
             raise ValueError("pin timer is only meaningful in Normal mode")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DoorEvent:
     kind: str  # lock | unlock | pin_correct | pin_incorrect | epsilon
     dt: float = 0.0
@@ -85,7 +85,7 @@ def door_step(state: DoorState, event: DoorEvent) -> DoorState:
     return DoorState(state.mode, clock, pin_timer)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TraceStep:
     event: DoorEvent
     state: DoorState

@@ -19,7 +19,7 @@ Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import field, record
 
 ACTIONS = ("get", "move", "eval", "put")
 
@@ -45,7 +45,7 @@ def _check_token(value: str, what: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Location:
     """A named node of the infrastructure map.  Ordered by numeric id."""
 
@@ -65,7 +65,7 @@ def by_id(locations) -> list[Location]:
     return sorted(locations, key=lambda l: l.id)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ActorPsyState:
     """Psychological disposition: one psychic state plus a motivation set."""
 
@@ -86,7 +86,7 @@ def tipping_point(state: ActorPsyState) -> bool:
     return bool(state.motivations) and state.psy != "happy"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InsiderDecl:
     """Declares that ``id`` can impersonate each identity in ``alter_egos``
     once its tipping point is reached."""
@@ -102,7 +102,7 @@ class InsiderDecl:
             raise ModelError(f"insider {self.id!r} cannot list itself as an alter ego")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ActorClassId:
     """An actor equivalence class, named by its least member."""
 
@@ -112,7 +112,7 @@ class ActorClassId:
         return self.representative
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ActorResolver:
     """Partition of the identity universe into actor classes.
 
@@ -172,7 +172,15 @@ def build_resolver(insiders, identities) -> ActorResolver:
 # Infrastructure snapshots
 
 
-@dataclass(frozen=True)
+def edge_set(edges) -> frozenset:
+    """``edges`` as a frozenset of tuples; one that already is comes back
+    as it is, so the snapshots of a model share their edge set."""
+    if type(edges) is frozenset and all(type(e) is tuple for e in edges):
+        return edges
+    return frozenset(tuple(e) for e in edges)
+
+
+@record(frozen=True)
 class InfraGraph:
     """A snapshot: edges, placements, credentials, roles, location values.
 
@@ -189,7 +197,7 @@ class InfraGraph:
     loc_value: dict
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
+        object.__setattr__(self, "edges", edge_set(self.edges))
         seen: dict[str, Location] = {}
         placements = {}
         for loc, idents in self.placements.items():
@@ -246,18 +254,18 @@ class InfraGraph:
 # formulas: the nodes, a walk over their atoms, one printer, one parser core
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Not:
     arg: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class And:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Or:
     left: object
     right: object
@@ -382,33 +390,33 @@ class PolicyCondition:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrueCond(PolicyCondition):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RequesterAt(PolicyCondition):
     loc: Location
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HasCred(PolicyCondition):
     cred: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HasRole(PolicyCondition):
     role: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IsIn(PolicyCondition):
     loc: Location
     value: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CountAtLeast(PolicyCondition):
     loc: Location
     count: int
@@ -418,7 +426,7 @@ class CountAtLeast(PolicyCondition):
             raise ModelError(f"count_at_least needs a positive bound, got {self.count}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AllAtAuthorized(PolicyCondition):
     loc: Location
     allowed: frozenset[str]
@@ -462,7 +470,7 @@ def eval_condition(
     raise ModelError(f"unknown policy condition node {cond!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AtomicPolicy:
     """A (condition, action set) pair attached to a location."""
 
@@ -478,7 +486,7 @@ class AtomicPolicy:
             raise ModelError(f"unknown actions {sorted(bad)!r}; expected among {ACTIONS}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FoeControl:
     """Assumption: ``foe`` is disabled for ``action`` at ``location`` whenever
     someone outside the foe's actor class is present there."""
@@ -502,37 +510,37 @@ class PredExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PBool(PredExpr):
     value: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PEnables(PredExpr):
     loc: Location
     identity: str
     action: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PAt(PredExpr):
     identity: str
     loc: Location
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PIsIn(PredExpr):
     loc: Location
     value: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PCountAtLeast(PredExpr):
     loc: Location
     count: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PInSet(PredExpr):
     identity: str
     set_name: str
@@ -557,7 +565,7 @@ def subst_pred(expr: PredExpr, param: str, value: str) -> PredExpr:
             return expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StatePredicate:
     """A named boolean expression over a snapshot, optionally parameterised
     by one identity argument.  Parameterised predicates must be applied
@@ -621,7 +629,7 @@ def _eval_pred_expr(expr: PredExpr, model: "Model", graph: InfraGraph) -> bool:
 # The model
 
 
-@dataclass
+@record
 class Model:
     """Immutable problem definition.
 
@@ -654,7 +662,7 @@ class Model:
         names = [l.name for l in self.locations]
         if len(set(ids)) != len(ids) or len(set(names)) != len(names):
             raise ModelError("location ids and names must be unique")
-        self.edges = frozenset(tuple(e) for e in self.edges)
+        self.edges = edge_set(self.edges)
         self.identities = frozenset(self.identities)
         for ident in self.identities:
             _check_token(ident, "identity")
@@ -788,7 +796,7 @@ class Tables:
         self.loc_pos = {loc: k for k, loc in enumerate(locs)}
         self.edges = model.initial.edges
         self.targets = node_indices(locs, self.edges)
-        self.sets, self.named = model.identity_sets, model.named_predicates
+        self.sets, self.named, self.compiled = model.identity_sets, model.named_predicates, {}
         self.rep_of = rep_of = model.resolver._rep
         classes = model.resolver._members
         self.reps = reps = tuple(rep_of.get(i, i) for i in ids)
@@ -844,12 +852,15 @@ class Tables:
 
     def predicate(self, name: str, arg: str | None = None):
         """The named predicate applied to ``arg``, compiled into a closure
-        ``(vector, rep) -> bool`` that ignores ``rep``.  Agrees with
-        :func:`eval_predicate` on every snapshot."""
-        pred = self.named.get(name)
-        if pred is None:
-            raise ModelError(f"unknown predicate name {name!r}")
-        return vector_condition(predicate_body(pred, arg), self)
+        ``(vector, rep) -> bool`` that ignores ``rep``, once per ``(name,
+        arg)``.  Agrees with :func:`eval_predicate` on every snapshot."""
+        holds = self.compiled.get((name, arg))
+        if holds is None:
+            pred = self.named.get(name)
+            if pred is None:
+                raise ModelError(f"unknown predicate name {name!r}")
+            holds = self.compiled[name, arg] = vector_condition(predicate_body(pred, arg), self)
+        return holds
 
 
 def node_indices(locs, edges) -> list[int]:

@@ -40,8 +40,6 @@ with their line numbers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-
 from .model import (
     ACTIONS,
     MOTIVATIONS,
@@ -73,6 +71,7 @@ from .model import (
     TrueCond,
     expr_text,
 )
+from .record import record
 
 SECTIONS = (
     "locations",
@@ -92,7 +91,7 @@ SECTIONS = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     line: int
     message: str
@@ -171,6 +170,13 @@ class _AtomParser(Parser):
             raise ModelError(f"expected a name, found [{' '.join(arg)}]")
         return arg
 
+    def bound(self, arg) -> int:
+        """The bound of ``count_at_least``: ASCII digits only."""
+        text = self.name(arg)
+        if not (text.isascii() and text.isdigit()):
+            raise ModelError(f"count_at_least needs a whole-number bound, found {text!r}")
+        return int(text)
+
     def loc(self, arg) -> Location:
         loc = self.locations.get(self.name(arg))
         if loc is None:
@@ -195,7 +201,7 @@ _CONDITION_ATOMS = {
     "has_cred": lambda p, c: HasCred(p.name(c)),
     "has_role": lambda p, r: HasRole(p.name(r)),
     "is_in": lambda p, l, v: IsIn(p.loc(l), p.name(v)),
-    "count_at_least": lambda p, l, n: CountAtLeast(p.loc(l), int(p.name(n))),
+    "count_at_least": lambda p, l, n: CountAtLeast(p.loc(l), p.bound(n)),
     # The set is resolved before the location, so it is reported first.
     "all_at_in": lambda p, l, who: AllAtAuthorized(allowed=p.members(who), loc=p.loc(l)),
 }
@@ -206,7 +212,7 @@ _PREDICATE_ATOMS = {
     "enables": lambda p, l, i, a: PEnables(p.loc(l), p.name(i), p.name(a)),
     "at": lambda p, i, l: PAt(p.name(i), p.loc(l)),
     "is_in": lambda p, l, v: PIsIn(p.loc(l), p.name(v)),
-    "count_at_least": lambda p, l, n: PCountAtLeast(p.loc(l), int(p.name(n))),
+    "count_at_least": lambda p, l, n: PCountAtLeast(p.loc(l), p.bound(n)),
     "inset": lambda p, i, s: PInSet(p.name(i), p.name(s)),
 }
 
@@ -259,7 +265,7 @@ def predicate_text(expr: PredExpr) -> str:
 # Parsing
 
 
-@dataclass
+@record
 class _Entry:
     line: int
     text: str

@@ -30,13 +30,12 @@ rule; policies granting only ``eval`` are flagged by :func:`lint_model`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import _EMPTY, InfraGraph, Location, Model, Tables, by_id, encode, node_indices, tables
 from .model import enables  # noqa: F401  (bench/layers.py times calls to transition.enables)
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TransitionLabel:
     """Identifies one rule instance.
 

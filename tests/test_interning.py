@@ -133,6 +133,25 @@ def test_predicate_errors_are_model_errors(baseline_kripke):
         check(baseline_kripke, Pred("global_ok"))
 
 
+def test_predicates_are_compiled_once(baseline_kripke):
+    t = tables(baseline_kripke.model)
+    assert t.predicate("eve_ok") is t.predicate("eve_ok")
+    assert t.predicate("global_ok", "Eve") is t.predicate("global_ok", "Eve")
+    assert t.predicate("global_ok", "Eve") is not t.predicate("global_ok", "Bob")
+    for _ in range(2):
+        with pytest.raises(ModelError, match="unknown predicate name 'nope'"):
+            t.predicate("nope")
+
+
+def test_snapshots_share_the_model_edge_set(baseline_kripke):
+    k = baseline_kripke
+    edges = k.graph(0).edges
+    assert all(k.graph(i).edges is edges for i in range(len(k.states)))
+    a, b = next(iter(edges))
+    listed = InfraGraph([[a, b], [b, a]], {}, {}, {}, {})
+    assert listed.edges == frozenset({(a, b), (b, a)})
+
+
 def test_exploring_from_a_snapshot_with_other_edges(baseline_model):
     g = baseline_model.initial
     edges = frozenset(e for e in g.edges if airplane.cockpit not in e)

@@ -109,6 +109,17 @@ class TestDiagnostics:
         diags = self.err(doc)
         assert [str(d) for d in diags] == [f"line 6: bad condition: expected {found}"]
 
+    @pytest.mark.parametrize("kind", ["condition", "predicate"])
+    @pytest.mark.parametrize("bound", ["x", "_2", "\u0663"])
+    def test_count_bound_is_ascii_digits(self, kind, bound):
+        line = {
+            "condition": "policies b\n  at a allow move if",
+            "predicate": "predicates\n  p :=",
+        }[kind]
+        diags = self.err(f"locations\n  a 0\n{line} count_at_least(a, {bound})\n")
+        message = f"count_at_least needs a whole-number bound, found {bound!r}"
+        assert [str(d) for d in diags] == [f"line 4: bad {kind}: {message}"]
+
     def test_bad_action(self):
         diags = self.err("locations\n  a 0\npolicies base\n  at a allow fly if true\n")
         assert any("unknown action 'fly'" in d.message for d in diags)
