@@ -3,7 +3,6 @@ models with insider impersonation."""
 
 from .model import (
     ACTIONS,
-    ActorClassId,
     ActorPsyState,
     ActorResolver,
     AtomicPolicy,
@@ -17,7 +16,6 @@ from .model import (
     build_resolver,
     enables,
     encode,
-    eval_condition,
     eval_predicate,
     tipping_point,
 )
@@ -59,13 +57,12 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "ACTIONS", "ActorClassId", "ActorPsyState", "ActorResolver", "AtomicPolicy",
-    "FoeControl", "InfraGraph", "InsiderDecl", "KripkeModel", "Location", "Model",
-    "ModelError", "StatePredicate", "TransitionLabel", "Verdict", "airplane",
-    "build_airplane_model", "build_resolver", "check", "ctl", "dot_export", "enables",
-    "encode", "eval_condition", "eval_ctl", "eval_predicate", "extract_trace", "formula",
-    "gfp_iterate", "lfp_iterate", "lint_model", "model", "modelfile", "move_graph",
-    "named_state", "parse_formula", "parse_model", "pretty", "reachable", "risk_compare",
-    "serialize_model", "shortest_path", "shortest_path_via", "successors",
-    "tipping_point", "transition",
+    "ACTIONS", "ActorPsyState", "ActorResolver", "AtomicPolicy", "FoeControl",
+    "InfraGraph", "InsiderDecl", "KripkeModel", "Location", "Model", "ModelError",
+    "StatePredicate", "TransitionLabel", "Verdict", "airplane", "build_airplane_model",
+    "build_resolver", "check", "ctl", "dot_export", "enables", "encode", "eval_ctl",
+    "eval_predicate", "extract_trace", "formula", "gfp_iterate", "lfp_iterate",
+    "lint_model", "model", "modelfile", "move_graph", "named_state", "parse_formula",
+    "parse_model", "pretty", "reachable", "risk_compare", "serialize_model",
+    "shortest_path", "shortest_path_via", "successors", "tipping_point", "transition",
 ]

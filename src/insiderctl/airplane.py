@@ -37,13 +37,13 @@ from .model import (
     IsIn,
     Location,
     Model,
+    PBool,
     PEnables,
     PInSet,
     PNot,
     POr,
     RequesterAt,
     StatePredicate,
-    TrueCond,
     enables,
     eval_predicate,
 )
@@ -110,11 +110,11 @@ def _baseline_policies() -> dict:
         ),
         door: frozenset(
             {
-                AtomicPolicy(TrueCond(), frozenset({"move"})),
+                AtomicPolicy(PBool(), frozenset({"move"})),
                 AtomicPolicy(RequesterAt(cockpit), frozenset({"put"})),
             }
         ),
-        cabin: frozenset({AtomicPolicy(TrueCond(), frozenset({"move"}))}),
+        cabin: frozenset({AtomicPolicy(PBool(), frozenset({"move"}))}),
     }
 
 

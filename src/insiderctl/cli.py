@@ -51,7 +51,7 @@ def _load_model(args) -> Model:
         raise CliError(f"cannot read model file: {exc}")
     except ModelParseError as exc:
         raise CliError("model file is invalid:\n" + "\n".join(f"  {d}" for d in exc.diagnostics))
-    if getattr(args, "variant", None):
+    if getattr(args, "variant", None) is not None:
         if args.variant not in model.policy_variants:
             raise CliError(
                 f"model has no policy variant {args.variant!r}; "

@@ -24,6 +24,7 @@ LOCKED = "Locked"
 OPEN_AFTER = 30.0
 WINDOW = 5.0
 LOCKOUT = 300.0
+_INF = float("inf")
 
 
 @record(frozen=True)
@@ -47,8 +48,8 @@ class DoorEvent:
     def __post_init__(self) -> None:
         if self.kind not in ("lock", "unlock", "pin_correct", "pin_incorrect", "epsilon"):
             raise ValueError(f"unknown door event {self.kind!r}")
-        if self.kind == "epsilon" and self.dt <= 0:
-            raise ValueError("epsilon needs a positive duration")
+        if self.kind == "epsilon" and not 0 < self.dt < _INF:
+            raise ValueError("epsilon needs a positive, finite duration")
         if self.kind != "epsilon" and self.dt:
             raise ValueError(f"{self.kind} carries no duration")
 
@@ -141,8 +142,10 @@ def parse_script(text: str) -> list[DoorEvent]:
                 raise DoorScriptError(
                     f"line {lineno}: bad duration {parts[1]!r}"
                 ) from None
-            if dt <= 0:
-                raise DoorScriptError(f"line {lineno}: wait needs a positive duration")
+            if not 0 < dt < _INF:
+                raise DoorScriptError(
+                    f"line {lineno}: wait needs a positive, finite duration, found {parts[1]!r}"
+                )
             events.append(DoorEvent("epsilon", dt))
         else:
             raise DoorScriptError(f"line {lineno}: unknown event {parts[0]!r}")

@@ -7,12 +7,19 @@ definition: the location set, one or more named policy maps, value alphabets,
 insider declarations, named state predicates, and evaluation-time
 assumptions.
 
-Identities are plain strings.  An insider declaration whose psychological
-tipping point is reached collapses its identity with each declared alter ego
-into one actor class; every other identity stays in a singleton class.  All
-capability checks (``enables``, policy conditions, state predicates) operate
-on actor classes, so the insider inherits the placements, credentials, and
-roles of its alter egos.
+Identities are plain strings, and so are actor classes: a class is named by
+its representative, its least member.  An insider declaration whose
+psychological tipping point is reached collapses its identity with each
+declared alter ego into one actor class; every other identity stays in a
+singleton class named by itself.  All capability checks (``enables``, policy
+conditions, state predicates) operate on actor classes, so the insider
+inherits the placements, credentials, and roles of its alter egos.
+
+Policy conditions and state predicates are trees of the shared connectives
+over one set of atom records; an atom both languages use, such as
+``is_in``, is one class.  :func:`vector_condition` compiles either kind of
+tree over a model's state vector and is the only code that says what an atom
+means: :func:`enables` and :func:`eval_predicate` run what it builds.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -103,18 +110,9 @@ class InsiderDecl:
 
 
 @record(frozen=True)
-class ActorClassId:
-    """An actor equivalence class, named by its least member."""
-
-    representative: str
-
-    def __str__(self) -> str:
-        return self.representative
-
-
-@record(frozen=True)
 class ActorResolver:
-    """Partition of the identity universe into actor classes.
+    """Partition of the identity universe into actor classes, each named by
+    its representative, its least member.
 
     Non-singleton classes come only from insider declarations whose tipping
     point is active; every other identity maps to itself.
@@ -122,8 +120,8 @@ class ActorResolver:
 
     classes: tuple[frozenset[str], ...] = ()
 
-    _rep: dict = field(default_factory=dict, compare=False, repr=False)
-    _members: dict = field(default_factory=dict, compare=False, repr=False)
+    _rep: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _members: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for cls in self.classes:
@@ -134,11 +132,12 @@ class ActorResolver:
                 self._rep[ident] = rep
             self._members[rep] = frozenset(cls)
 
-    def actor_of(self, identity: str) -> ActorClassId:
-        return ActorClassId(self._rep.get(identity, identity))
+    def actor_of(self, identity: str) -> str:
+        """The representative of ``identity``'s class."""
+        return self._rep.get(identity, identity)
 
-    def members(self, actor: ActorClassId) -> frozenset[str]:
-        return self._members.get(actor.representative, frozenset((actor.representative,)))
+    def members(self, rep: str) -> frozenset[str]:
+        return self._members.get(rep, frozenset((rep,)))
 
 
 def build_resolver(insiders, identities) -> ActorResolver:
@@ -236,9 +235,6 @@ class InfraGraph:
 
     def credentials_of(self, identity: str) -> frozenset[str]:
         return self.credentials.get(identity, frozenset())
-
-    def roles_of(self, identity: str) -> frozenset[str]:
-        return self.roles.get(identity, frozenset())
 
     def actors(self) -> tuple[str, ...]:
         """All placed identities, in identity order."""
@@ -381,18 +377,27 @@ class Parser:
 
 
 # ---------------------------------------------------------------------------
-# Policy conditions
+# Atoms of policy conditions and state predicates.  Each atom has one record
+# class, whichever language uses it, and one meaning: :func:`vector_condition`.
 
 
 class PolicyCondition:
-    """Base class for policy condition trees."""
+    """Base class of the atoms a policy condition may use."""
+
+    __slots__ = ()
+
+
+class PredExpr:
+    """Base class of the atoms a state predicate may use."""
 
     __slots__ = ()
 
 
 @record(frozen=True)
-class TrueCond(PolicyCondition):
-    pass
+class PBool(PolicyCondition, PredExpr):
+    """The constant ``true`` or ``false``."""
+
+    value: bool = True
 
 
 @record(frozen=True)
@@ -411,13 +416,13 @@ class HasRole(PolicyCondition):
 
 
 @record(frozen=True)
-class IsIn(PolicyCondition):
+class IsIn(PolicyCondition, PredExpr):
     loc: Location
     value: str
 
 
 @record(frozen=True)
-class CountAtLeast(PolicyCondition):
+class CountAtLeast(PolicyCondition, PredExpr):
     loc: Location
     count: int
 
@@ -435,39 +440,27 @@ class AllAtAuthorized(PolicyCondition):
         object.__setattr__(self, "allowed", frozenset(self.allowed))
 
 
-def eval_condition(
-    cond: PolicyCondition,
-    graph: InfraGraph,
-    requester: ActorClassId,
-    resolver: ActorResolver,
-) -> bool:
-    """Evaluate a policy condition for a requesting actor class.  Total."""
-    match cond:
-        case TrueCond():
-            return True
-        case RequesterAt(loc=loc):
-            return any(resolver.actor_of(n) == requester for n in graph.placement(loc))
-        case HasCred(cred=cred):
-            return any(cred in graph.credentials_of(m) for m in resolver.members(requester))
-        case HasRole(role=role):
-            return any(role in graph.roles_of(m) for m in resolver.members(requester))
-        case IsIn(loc=loc, value=value):
-            return graph.value_of(loc) == value
-        case CountAtLeast(loc=loc, count=count):
-            return len(graph.placement(loc)) >= count
-        case AllAtAuthorized(loc=loc, allowed=allowed):
-            return all(n in allowed for n in graph.placement(loc))
-        case Not(arg=arg):
-            return not eval_condition(arg, graph, requester, resolver)
-        case And(left=left, right=right):
-            return eval_condition(left, graph, requester, resolver) and eval_condition(
-                right, graph, requester, resolver
-            )
-        case Or(left=left, right=right):
-            return eval_condition(left, graph, requester, resolver) or eval_condition(
-                right, graph, requester, resolver
-            )
-    raise ModelError(f"unknown policy condition node {cond!r}")
+@record(frozen=True)
+class PEnables(PredExpr):
+    loc: Location
+    identity: str
+    action: str
+
+
+@record(frozen=True)
+class PAt(PredExpr):
+    identity: str
+    loc: Location
+
+
+@record(frozen=True)
+class PInSet(PredExpr):
+    identity: str
+    set_name: str
+
+
+# The names these atoms had when each language had its own classes.
+TrueCond, PIsIn, PCountAtLeast = PBool, IsIn, CountAtLeast
 
 
 @record(frozen=True)
@@ -502,48 +495,6 @@ class FoeControl:
 
 # ---------------------------------------------------------------------------
 # Named state predicates
-
-
-class PredExpr:
-    """Base class for state-predicate expression trees."""
-
-    __slots__ = ()
-
-
-@record(frozen=True)
-class PBool(PredExpr):
-    value: bool
-
-
-@record(frozen=True)
-class PEnables(PredExpr):
-    loc: Location
-    identity: str
-    action: str
-
-
-@record(frozen=True)
-class PAt(PredExpr):
-    identity: str
-    loc: Location
-
-
-@record(frozen=True)
-class PIsIn(PredExpr):
-    loc: Location
-    value: str
-
-
-@record(frozen=True)
-class PCountAtLeast(PredExpr):
-    loc: Location
-    count: int
-
-
-@record(frozen=True)
-class PInSet(PredExpr):
-    identity: str
-    set_name: str
 
 
 def subst_pred(expr: PredExpr, param: str, value: str) -> PredExpr:
@@ -586,43 +537,6 @@ def predicate_body(pred: StatePredicate, arg: str | None = None) -> PredExpr:
     if arg is not None:
         raise ModelError(f"predicate {pred.name!r} takes no argument")
     return pred.body
-
-
-def eval_predicate(
-    pred: StatePredicate, model: "Model", graph: InfraGraph, arg: str | None = None
-) -> bool:
-    """The reference evaluation of a named predicate on a snapshot; the
-    engine runs the form :meth:`Tables.predicate` compiles."""
-    return _eval_pred_expr(predicate_body(pred, arg), model, graph)
-
-
-def _eval_pred_expr(expr: PredExpr, model: "Model", graph: InfraGraph) -> bool:
-    match expr:
-        case PBool(value=v):
-            return v
-        case PEnables(loc=loc, identity=ident, action=action):
-            return enables(model, graph, loc, model.resolver.actor_of(ident), action)
-        case PAt(identity=ident, loc=loc):
-            return ident in graph.placement(loc)
-        case PIsIn(loc=loc, value=value):
-            return graph.value_of(loc) == value
-        case PCountAtLeast(loc=loc, count=count):
-            return len(graph.placement(loc)) >= count
-        case PInSet(identity=ident, set_name=name):
-            if name not in model.identity_sets:
-                raise ModelError(f"unknown identity set {name!r}")
-            return ident in model.identity_sets[name]
-        case Not(arg=arg):
-            return not _eval_pred_expr(arg, model, graph)
-        case And(left=left, right=right):
-            return _eval_pred_expr(left, model, graph) and _eval_pred_expr(
-                right, model, graph
-            )
-        case Or(left=left, right=right):
-            return _eval_pred_expr(left, model, graph) or _eval_pred_expr(
-                right, model, graph
-            )
-    raise ModelError(f"unknown predicate node {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +767,7 @@ class Tables:
     def predicate(self, name: str, arg: str | None = None):
         """The named predicate applied to ``arg``, compiled into a closure
         ``(vector, rep) -> bool`` that ignores ``rep``, once per ``(name,
-        arg)``.  Agrees with :func:`eval_predicate` on every snapshot."""
+        arg)``."""
         holds = self.compiled.get((name, arg))
         if holds is None:
             pred = self.named.get(name)
@@ -901,12 +815,11 @@ def vector_condition(cond, t: Tables):
     """``cond``, a policy condition or a predicate body, as a closure
     ``(vector, rep) -> bool`` over ``t``'s layout, where ``rep`` is the
     representative of the requesting class; predicate atoms ignore it.
-    Agrees with :func:`eval_condition` and :func:`eval_predicate` on every
-    snapshot and class.  ``enables`` reuses the judgments in ``t.grant``."""
+    This is the one definition of what each atom means: :func:`enables`
+    and :func:`eval_predicate` run what it builds.  ``PEnables`` reuses the
+    judgments in ``t.grant``."""
     n = t.n
     match cond:
-        case TrueCond():
-            return _always
         case PBool(value=value):
             return _always if value else _never
         case RequesterAt(loc=loc):
@@ -918,10 +831,10 @@ def vector_condition(cond, t: Tables):
         case HasRole(role=role):
             members, base = t.members, 2 * n
             return lambda v, rep: any(role in v[base + p] for p in members.get(rep, ()))
-        case IsIn(loc=loc, value=value) | PIsIn(loc=loc, value=value):
+        case IsIn(loc=loc, value=value):
             slot = 3 * n + t.loc_pos[loc]
             return lambda v, rep: v[slot] == value
-        case CountAtLeast(loc=loc, count=count) | PCountAtLeast(loc=loc, count=count):
+        case CountAtLeast(loc=loc, count=count):
             k = t.loc_pos[loc]
             return lambda v, rep: v[:n].count(k) >= count
         case AllAtAuthorized(loc=loc, allowed=allowed):
@@ -976,15 +889,22 @@ def encode(model: Model, graph: InfraGraph) -> tuple:
     return key
 
 
-def enables(
-    model: Model, graph: InfraGraph, loc: Location, requester: ActorClassId, action: str
-) -> bool:
+def enables(model: Model, graph: InfraGraph, loc: Location, rep: str, action: str) -> bool:
     """The access judgment: does some policy at ``loc`` grant ``action`` to
-    the requesting class?  An active foe-control assumption overrides the
-    policies: the foe's class is denied whenever someone outside that class
-    is present at the location.  Runs the judgment compiled over ``graph``'s
-    state vector (see :class:`Tables`)."""
+    the class whose representative is ``rep``?  An active foe-control
+    assumption overrides the policies: the foe's class is denied whenever
+    someone outside that class is present at the location.  Runs the
+    judgment compiled over ``graph``'s state vector (see :class:`Tables`)."""
     v = encode(model, graph)
     judges, k = model._tables.grant.get(action), model._tables.loc_pos.get(loc)
     judge = None if judges is None or k is None else judges[k]
-    return judge is not None and judge(v, requester.representative)
+    return judge is not None and judge(v, rep)
+
+
+def eval_predicate(
+    pred: StatePredicate, model: Model, graph: InfraGraph, arg: str | None = None
+) -> bool:
+    """``pred`` applied to ``arg`` on ``graph``: its body compiled over
+    ``model``'s layout, run on the snapshot's state vector."""
+    holds = vector_condition(predicate_body(pred, arg), tables(model))
+    return holds(encode(model, graph), None)

@@ -30,6 +30,8 @@ bracketed list) combined with ``!``, ``&``,
 ``enables(LOC, ID, ACTION)``, ``at(ID, LOC)``, ``is_in(LOC, VAL)``,
 ``count_at_least(LOC, N)``, ``inset(ID, SET)`` with the same connectives,
 which CTL formulas share as well (see :class:`insiderctl.model.Parser`).
+In both, the bound N of ``count_at_least`` is a positive whole number in
+ASCII digits; a location ID is a whole number in ASCII digits.
 
 ``serialize_model`` emits a canonical rendering (fixed section order,
 sorted entries) and ``parse_model(serialize_model(m))`` is structurally
@@ -59,16 +61,13 @@ from .model import (
     ModelError,
     PAt,
     PBool,
-    PCountAtLeast,
     PEnables,
     PInSet,
-    PIsIn,
     Parser,
     PolicyCondition,
     PredExpr,
     RequesterAt,
     StatePredicate,
-    TrueCond,
     expr_text,
 )
 from .record import record
@@ -196,7 +195,7 @@ class _AtomParser(Parser):
 
 
 _CONDITION_ATOMS = {
-    "true": lambda p: TrueCond(),
+    "true": lambda p: PBool(),
     "requester_at": lambda p, l: RequesterAt(p.loc(l)),
     "has_cred": lambda p, c: HasCred(p.name(c)),
     "has_role": lambda p, r: HasRole(p.name(r)),
@@ -211,8 +210,8 @@ _PREDICATE_ATOMS = {
     "false": lambda p: PBool(False),
     "enables": lambda p, l, i, a: PEnables(p.loc(l), p.name(i), p.name(a)),
     "at": lambda p, i, l: PAt(p.name(i), p.loc(l)),
-    "is_in": lambda p, l, v: PIsIn(p.loc(l), p.name(v)),
-    "count_at_least": lambda p, l, n: PCountAtLeast(p.loc(l), p.bound(n)),
+    "is_in": _CONDITION_ATOMS["is_in"],
+    "count_at_least": _CONDITION_ATOMS["count_at_least"],
     "inset": lambda p, i, s: PInSet(p.name(i), p.name(s)),
 }
 
@@ -220,7 +219,7 @@ _PREDICATE_ATOMS = {
 _ATOM_NAMES = {
     RequesterAt: "requester_at", HasCred: "has_cred", HasRole: "has_role", IsIn: "is_in",
     CountAtLeast: "count_at_least", AllAtAuthorized: "all_at_in", PEnables: "enables",
-    PAt: "at", PIsIn: "is_in", PCountAtLeast: "count_at_least", PInSet: "inset",
+    PAt: "at", PInSet: "inset",
 }
 
 
@@ -245,8 +244,8 @@ def _arg_text(arg) -> str:
 
 
 def _atom_text(atom) -> str:
-    if isinstance(atom, (TrueCond, PBool)):
-        return "false" if atom == PBool(False) else "true"
+    if isinstance(atom, PBool):
+        return "true" if atom.value else "false"
     name = _ATOM_NAMES.get(type(atom))
     if name is None:
         raise ModelError(f"unknown expression node {atom!r}")
@@ -339,7 +338,7 @@ def parse_model(text: str) -> Model:
         if keyword == "locations":
             for e in entries:
                 parts = e.text.split()
-                if len(parts) != 2 or not parts[1].isdigit():
+                if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                     fail(e, f"expected 'NAME ID', found {e.text!r}")
                     continue
                 name, lid = parts[0], int(parts[1])

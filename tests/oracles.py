@@ -16,8 +16,11 @@ from insiderctl.model import (
     HasCred,
     HasRole,
     IsIn,
+    PAt,
+    PBool,
+    PEnables,
+    PInSet,
     RequesterAt,
-    TrueCond,
 )
 
 
@@ -87,8 +90,8 @@ def _members(reps, model, rep):
 
 
 def o_condition(cond, world, rep, reps, model):
-    if isinstance(cond, TrueCond):
-        return True
+    if isinstance(cond, PBool):
+        return cond.value
     if isinstance(cond, RequesterAt):
         return any(reps.get(n, n) == rep for n in _placement(world, cond.loc.name))
     if isinstance(cond, HasCred):
@@ -112,6 +115,33 @@ def o_condition(cond, world, rep, reps, model):
             cond.right, world, rep, reps, model
         )
     raise AssertionError(f"oracle got unknown condition {cond!r}")
+
+
+def o_predicate(pred, world, reps, model, arg=None):
+    """The named predicate ``pred`` applied to ``arg`` on an oracle world:
+    an identity slot that names the parameter reads ``arg``, and the atoms
+    policy conditions share go through ``o_condition``."""
+
+    def ident(name):
+        return arg if name == pred.param else name
+
+    def holds(e):
+        if isinstance(e, PEnables):
+            who = ident(e.identity)
+            return o_enables(model, world, e.loc.name, reps.get(who, who), e.action, reps)
+        if isinstance(e, PAt):
+            return ident(e.identity) in _placement(world, e.loc.name)
+        if isinstance(e, PInSet):
+            return ident(e.identity) in model.identity_sets[e.set_name]
+        if isinstance(e, CondNot):
+            return not holds(e.arg)
+        if isinstance(e, CondAnd):
+            return holds(e.left) and holds(e.right)
+        if isinstance(e, CondOr):
+            return holds(e.left) or holds(e.right)
+        return o_condition(e, world, None, reps, model)
+
+    return holds(pred.body)
 
 
 def o_enables(model, world, locname, rep, action, reps):

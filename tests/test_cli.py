@@ -65,6 +65,11 @@ class TestCheck:
         assert code == 2
         assert "no policy variant" in err
 
+    def test_empty_variant(self, capsys):
+        code, _, err = run(capsys, "check", MODEL, "AG eve_ok", "--variant", "")
+        assert code == 2
+        assert "model has no policy variant ''" in err
+
     def test_bad_assumption_syntax(self, capsys):
         code, _, err = run(capsys, "check", MODEL, "AG eve_ok", "--assume", "cockpit:put")
         assert code == 2
@@ -258,6 +263,22 @@ class TestExitCodeContract:
         result = run_module("door-sim", str(path))
         self.assert_error(result, "cannot read script")
         assert "internal error" not in result.stderr
+
+    def test_location_id_not_ascii_digits(self, tmp_path):
+        path = tmp_path / "superscript.model"
+        path.write_text("locations\n  a \u00b2\n", encoding="utf-8")
+        result = run_module("reach", str(path))
+        self.assert_error(result, "model file is invalid")
+        assert "  line 2: expected 'NAME ID'" in result.stderr
+        assert "internal error" not in result.stderr
+
+    @pytest.mark.parametrize("dt", ["nan", "inf", "1e400"])
+    def test_door_script_non_finite_wait(self, tmp_path, dt):
+        path = tmp_path / "forever.door"
+        path.write_text(f"lock\nwait {dt}\nwait 400\n")
+        result = run_module("door-sim", str(path))
+        self.assert_error(result, "line 2: wait needs a positive, finite duration")
+        assert result.stdout == ""
 
     def test_dot_file_not_writable(self, tmp_path):
         target = tmp_path / "missing" / "x.dot"

@@ -68,6 +68,7 @@ PREDICATES = [
     "at(Eve, nowhere)",
     "false & @",
     "count_at_least(a, -1)",
+    "count_at_least(a, 0)",
     "!(true | false",
     "at(Eve, ))",
     "enables(a, (, put)",

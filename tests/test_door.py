@@ -165,9 +165,18 @@ wait 300
             with pytest.raises(DoorScriptError):
                 parse_script(bad)
 
+    @pytest.mark.parametrize("dt", ["nan", "inf", "1e400"])
+    def test_non_finite_wait_rejected(self, dt):
+        message = f"line 3: wait needs a positive, finite duration, found '{dt}'"
+        with pytest.raises(DoorScriptError, match=message):
+            parse_script(f"lock\n\nwait {dt}\nwait 400\n")
+
     def test_event_validation(self):
         with pytest.raises(ValueError):
             DoorEvent("epsilon", 0.0)
+        for dt in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive, finite duration"):
+                DoorEvent("epsilon", dt)
         with pytest.raises(ValueError):
             DoorEvent("lock", 3.0)
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ classes and deadlocking models.
 import pytest
 
 from genmodels import random_model, with_passengers
-from oracles import o_enables, o_reps, o_world
+from oracles import o_condition, o_enables, o_predicate, o_reps, o_world
 from insiderctl import airplane
 from insiderctl.ctl import (
     Pred,
@@ -26,12 +26,10 @@ from insiderctl.ctl import (
 from insiderctl.formula import parse_formula
 from insiderctl.model import (
     ACTIONS,
-    ActorClassId,
     InfraGraph,
     Location,
     ModelError,
     enables,
-    eval_condition,
     eval_predicate,
     tables,
     vector_condition,
@@ -109,15 +107,19 @@ def test_snapshots_on_request_round_trip(explored):
 
 
 def test_compiled_predicates_agree_with_eval_predicate(explored):
+    """The compiled predicates, and ``eval_predicate`` on each snapshot,
+    against the naive oracle."""
     for name, k in explored:
-        t = tables(k.model)
+        t, reps = tables(k.model), o_reps(k.model)
+        worlds = [o_world(graph) for graph in k.graphs]
         for pname, pred in k.model.named_predicates.items():
             args = [None] if pred.param is None else sorted(k.model.identities) + ["Nobody"]
             for arg in args:
                 compiled = t.predicate(pname, arg)
                 for i, v in enumerate(k.states):
-                    expected = eval_predicate(pred, k.model, k.graph(i), arg)
+                    expected = o_predicate(pred, worlds[i], reps, k.model, arg)
                     assert compiled(v, None) == expected, (name, pname, arg, i)
+                    assert eval_predicate(pred, k.model, k.graph(i), arg) == expected
 
 
 def test_predicate_errors_are_model_errors(baseline_kripke):
@@ -186,32 +188,31 @@ def test_engine_builds_no_snapshot(monkeypatch):
     assert len(built) == 1
 
 
-def test_compiled_conditions_agree_with_eval_condition(explored):
+def test_compiled_conditions_agree_with_the_oracle(explored):
     for name, k in explored:
-        resolver, t = k.model.resolver, tables(k.model)
-        reps = sorted({resolver.actor_of(i).representative for i in k.model.identities})
-        for pmap in k.model.policy_variants.values():
+        model, t, o_rep = k.model, tables(k.model), o_reps(k.model)
+        reps = sorted({model.resolver.actor_of(i) for i in model.identities})
+        worlds = [o_world(graph) for graph in k.graphs]
+        for pmap in model.policy_variants.values():
             for policies in pmap.values():
                 for pol in policies:
                     compiled = vector_condition(pol.condition, t)
-                    for graph, v in zip(k.graphs, k.states):
+                    for world, v in zip(worlds, k.states):
                         for rep in reps:
-                            expected = eval_condition(
-                                pol.condition, graph, ActorClassId(rep), resolver
-                            )
+                            expected = o_condition(pol.condition, world, rep, o_rep, model)
                             assert compiled(v, rep) == expected, (name, pol, rep)
 
 
 def test_compiled_access_agrees_with_the_naive_oracle(explored):
     for name, k in explored:
         model, reps = k.model, o_reps(k.model)
-        classes = sorted({model.resolver.actor_of(i).representative for i in model.identities})
+        classes = sorted({model.resolver.actor_of(i) for i in model.identities})
         for graph in k.graphs:
             world = o_world(graph)
             for loc in model.locations:
                 for action in ACTIONS:
                     for rep in classes:
-                        got = enables(model, graph, loc, ActorClassId(rep), action)
+                        got = enables(model, graph, loc, rep, action)
                         assert got == o_enables(model, world, loc.name, rep, action, reps), (
                             name, loc.name, action, rep,
                         )

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -18,8 +19,10 @@ from insiderctl.model import (
     TrueCond,
     build_resolver,
     enables,
-    eval_condition,
+    encode,
+    tables,
     tipping_point,
+    vector_condition,
 )
 from insiderctl.airplane import (
     aid_graph,
@@ -33,6 +36,11 @@ from insiderctl.airplane import (
 from genmodels import random_model
 
 EVE_STATE = ActorPsyState("depressed", frozenset({"revenge", "peer_recognition"}))
+
+
+def condition_holds(cond, graph, rep, model):
+    """``cond`` for the class of ``rep`` on ``graph``, compiled."""
+    return vector_condition(cond, tables(model))(encode(model, graph), rep)
 
 
 class TestTippingPoint:
@@ -81,6 +89,13 @@ class TestResolver:
         assert r.actor_of("Eve") == r.actor_of("Bob") == r.actor_of("Charly")
         assert r.actor_of("Alice") != r.actor_of("Eve")
 
+    def test_replace_rebuilds_an_equal_resolver(self):
+        r = build_airplane_model("baseline").resolver
+        copy = dataclasses.replace(r)
+        assert copy == r and copy.classes == r.classes
+        assert copy.actor_of("Eve") == r.actor_of("Eve") == "Charly"
+        assert copy.members("Charly") == frozenset({"Charly", "Eve"})
+
     def test_unknown_alter_ego_rejected(self):
         with pytest.raises(ModelError):
             build_resolver([InsiderDecl("Eve", frozenset({"Mallory"}), EVE_STATE)], self.IDS)
@@ -113,7 +128,7 @@ class TestResolver:
             assert same == (x in r.members(r.actor_of(y)))
         # idempotence via representatives
         for x in ids:
-            rep = r.actor_of(x).representative
+            rep = r.actor_of(x)
             assert r.actor_of(rep) == r.actor_of(x)
 
 
@@ -142,31 +157,31 @@ class TestInfraGraph:
 class TestEvalCondition:
     def test_isin_door_norm_on_initial(self, baseline_model):
         m = baseline_model
-        assert eval_condition(IsIn(door, "norm"), ex_graph(), m.resolver.actor_of("Bob"), m.resolver)
+        assert condition_holds(IsIn(door, "norm"), ex_graph(), m.resolver.actor_of("Bob"), m)
 
     def test_hascred_pin_for_alice(self, baseline_model):
         m = baseline_model
-        assert eval_condition(HasCred("PIN"), ex_graph(), m.resolver.actor_of("Alice"), m.resolver)
+        assert condition_holds(HasCred("PIN"), ex_graph(), m.resolver.actor_of("Alice"), m)
 
     def test_count_at_least_three_on_initial(self, baseline_model):
         # cockpit holds exactly {Bob, Charly}, so a 3-bound fails
         m = baseline_model
         assert len(ex_graph().placement(cockpit)) == 2
-        assert not eval_condition(
-            CountAtLeast(cockpit, 3), ex_graph(), m.resolver.actor_of("Bob"), m.resolver
+        assert not condition_holds(
+            CountAtLeast(cockpit, 3), ex_graph(), m.resolver.actor_of("Bob"), m
         )
 
     def test_insider_inherits_credentials(self, baseline_model):
         # Eve holds nothing herself; the merged class holds Charly's PIN
         m = baseline_model
         assert ex_graph().credentials_of("Eve") == frozenset()
-        assert eval_condition(HasCred("PIN"), ex_graph(), m.resolver.actor_of("Eve"), m.resolver)
+        assert condition_holds(HasCred("PIN"), ex_graph(), m.resolver.actor_of("Eve"), m)
 
     def test_deterministic(self, baseline_model):
         m = baseline_model
         cond = IsIn(door, "norm")
         results = {
-            eval_condition(cond, ex_graph(), m.resolver.actor_of("Bob"), m.resolver)
+            condition_holds(cond, ex_graph(), m.resolver.actor_of("Bob"), m)
             for _ in range(10)
         }
         assert results == {True}

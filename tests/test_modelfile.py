@@ -120,6 +120,11 @@ class TestDiagnostics:
         message = f"count_at_least needs a whole-number bound, found {bound!r}"
         assert [str(d) for d in diags] == [f"line 4: bad {kind}: {message}"]
 
+    @pytest.mark.parametrize("lid", ["\u00b2", "\u0663"])
+    def test_location_id_is_ascii_digits(self, lid):
+        diags = self.err(f"locations\n  b 0\n  a {lid}\n")
+        assert [str(d) for d in diags] == [f"line 3: expected 'NAME ID', found 'a {lid}'"]
+
     def test_bad_action(self):
         diags = self.err("locations\n  a 0\npolicies base\n  at a allow fly if true\n")
         assert any("unknown action 'fly'" in d.message for d in diags)
