@@ -27,11 +27,12 @@ from .ctl import (
     check,
     dot_export,
     extract_trace,
+    find_witness,
     format_trace,
+    formula_predicates,
     reachable,
 )
 from .formula import FormulaParseError, parse_formula, pretty
-from .ctl import formula_predicates
 from .model import ACTIONS, FoeControl, Model, ModelError
 from .modelfile import ModelParseError, parse_model, serialize_model
 from .transition import lint_model
@@ -139,14 +140,15 @@ def _cmd_witness(args) -> int:
     formula = _parse_formula_checked(model, args.formula)
     if not isinstance(formula, EF):
         raise CliError("witness requires a formula of shape 'EF g'")
-    kripke = _explore(model, args)
-    verdict = check(kripke, formula)
-    if not verdict.holds:
+    try:
+        explored, path = find_witness(model, formula, max_states=args.max_states)
+    except ExplorationLimitError as exc:
+        raise CliError(str(exc))
+    if path is None:
         print(f"witness {pretty(formula)}: formula does not hold")
         return FAIL
-    path = extract_trace(kripke, formula, "witness")
     print(f"witness ({len(path)} steps):")
-    print(format_trace(kripke, path))
+    print(format_trace(explored, path))
     return OK
 
 
@@ -168,12 +170,12 @@ def _cmd_door_sim(args) -> int:
 
     try:
         with open(args.script, encoding="utf-8") as fh:
-            events = door.parse_script(fh.read())
+            trace = door.door_run(door.parse_script(fh.read()))
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read script: {exc}")
     except door.DoorScriptError as exc:
         raise CliError(str(exc))
-    sys.stdout.write(door.format_trace(door.door_run(events)))
+    sys.stdout.write(door.format_trace(trace))
     return OK
 
 

@@ -1,34 +1,35 @@
-"""Reachable state space construction and fixpoint-based CTL evaluation.
+"""Reachable state space construction and CTL labelling.
 
 Each state is a flat state vector, ``encode(model, graph)``, of location
 indices, credential and role sets and values (the policy map and the edges
 live in the model and never change along a transition, so they are factored
 out).  The reachable set is explored breadth-first over vectors with
-deterministic indexing: :func:`successors` derives each successor's vector
-from the source's and the rule's one-slot delta, and no snapshot
-(:class:`InfraGraph`) is built.  Predicates run compiled over the vectors,
-and traces and DOT are rendered from them; ``KripkeModel.graph(i)`` builds a
-state's snapshot on request.  State sets are plain ``frozenset`` of indices.
+deterministic indexing (:class:`Exploration`): :func:`successors` derives
+each successor's vector from the source's and the rule's one-slot delta, and
+no snapshot (:class:`InfraGraph`) is built.  Predicates run compiled over the
+vectors, and traces and DOT are rendered from them; ``KripkeModel.graph(i)``
+builds a state's snapshot on request.  State sets are ``frozenset``s of indices.
 
-The ten CTL operators are evaluated as least/greatest fixpoints of their
-standard set transformers:
+Labelling runs three primitives, each linear in states and distinct edges,
+over an index each :class:`KripkeModel` builds once (:meth:`~KripkeModel.backward`:
+distinct predecessors and out-degrees; :meth:`~KripkeModel.label`: each
+named predicate's satisfying set): EX b scans the predecessors of b; E[a U b]
+is a backward worklist from b through a; A[a U b] counts, per state, the
+distinct successors not yet in, and a deadlock in a joins at once, since AX
+is vacuously true there.  The other seven operators follow by duality:
 
-    EX f = {s | some successor of s is in f}
-    AX f = {s | every successor of s is in f}      (vacuously true on deadlocks)
-    EF f = lfp(Z -> f | EX Z)       AF f = lfp(Z -> f | AX Z)
-    EG f = gfp(Z -> f & EX Z)       AG f = gfp(Z -> f & AX Z)
-    EU/AU f1 f2 = lfp(Z -> f2 | (f1 & {E,A}X Z))
-    ER/AR f1 f2 = gfp(Z -> f2 & (f1 | {E,A}X Z))
+    AX f = !EX !f    EF f = E[true U f]    AF f = A[true U f]
+    EG f = !AF !f    AG f = !EF !f
+    E[a R b] = !A[!a U !b]                 A[a R b] = !E[!a U !b]
 
-``check`` holds when every initial state is in the satisfying set.
+so a deadlock satisfies ``AG f`` whenever it satisfies ``f``, and never
+``EG f``.  ``check`` holds when every initial state is in the satisfying set.
 
-Note on deadlocks: AX over an empty successor set is vacuously true, so a
-deadlock state satisfies ``AG f`` whenever it satisfies ``f``.
-
-In debug mode the engine spot-checks transformer monotonicity on random
-subset pairs and checks the AG/EF duality (sat(AG f) equals the complement
-of sat(EF not-f)) on every AG query; both raise :class:`MonotonicityError`,
-also under ``python -O``.
+``debug=True`` keeps the fixpoint formulation as the reference, iterated
+over the labelled edges by :func:`lfp_iterate`/:func:`gfp_iterate`: EX/AX f =
+{s | some/every successor of s is in f}, E/A[f1 U f2] = lfp(Z -> f2 | (f1 &
+{E,A}X Z)), E/A[f1 R f2] = gfp(Z -> f2 & (f1 | {E,A}X Z)), and AG f also as
+!EF !f.  A difference raises :class:`MonotonicityError`, also under -O.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class ExplorationLimitError(RuntimeError):
 class MonotonicityError(RuntimeError):
     """Raised when a fixpoint transformer misbehaves (non-monotone or
     failing to converge within the guaranteed bound), or when the debug
-    AG/EF duality check finds two fixpoints that disagree."""
+    reference disagrees with the labelling."""
 
 
 class TraceError(ValueError):
@@ -65,7 +66,8 @@ class KripkeModel:
 
     Always built by :func:`reachable`; the state list must be exactly the
     closure of the initial states under the stored edges, which the
-    constructor verifies.  :meth:`graph` builds a state's snapshot.
+    constructor verifies.  :meth:`graph` builds a state's snapshot, and
+    :meth:`backward` and :meth:`label` the labelling index.
     """
 
     model: Model
@@ -74,6 +76,8 @@ class KripkeModel:
     init: frozenset[int]
     index: dict = field(repr=False)
     _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _backward: tuple = field(default=None, init=False, repr=False, compare=False)
+    _labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.states)
@@ -119,6 +123,56 @@ class KripkeModel:
     def successors_of(self, i: int) -> list[int]:
         return [j for _, j in self.edges[i]]
 
+    def backward(self) -> tuple[tuple, tuple]:
+        """Each state's distinct predecessors and successor count, built once."""
+        if self._backward is None:
+            preds, degree = [[] for _ in self.states], []
+            for i, out in enumerate(self.edges):
+                succ = {j for _, j in out}
+                degree.append(len(succ))
+                for j in succ:
+                    preds[j].append(i)
+            self._backward = tuple(map(tuple, preds)), tuple(degree)
+        return self._backward
+
+    def label(self, name: str) -> frozenset[int]:
+        """The states where the named predicate holds; computed on first use."""
+        sat = self._labels.get(name)
+        if sat is None:
+            holds = tables(self.model).predicate(name)
+            sat = frozenset([i for i, v in enumerate(self.states) if holds(v, None)])
+            self._labels[name] = sat
+        return sat
+
+
+class Exploration:
+    """Breadth-first search over state vectors from ``start``: ``states`` in
+    discovery order, ``index`` from vector to position, and the labelled
+    ``edges`` of the states expanded so far."""
+
+    __slots__ = ("model", "states", "index", "edges", "max_states")
+
+    def __init__(self, model: Model, start: InfraGraph, max_states: int | None = None):
+        self.model, self.max_states, self.edges = model, max_states, []
+        self.states = [encode(model, start)]
+        self.index = {self.states[0]: 0}
+
+    def discover(self):
+        """Yield ``(j, i, label)`` as state ``j`` is first reached, from ``i``."""
+        model, states, index, cap = self.model, self.states, self.index, self.max_states
+        for i, v in enumerate(states):  # the list grows while it is walked
+            out: list = []
+            self.edges.append(out)
+            for label, succ in successors(model, v):
+                j = index.get(succ)
+                if j is None:
+                    if cap is not None and len(states) >= cap:
+                        raise ExplorationLimitError(f"state space exceeds the cap of {cap} states")
+                    j = index[succ] = len(states)
+                    states.append(succ)
+                    yield j, i, label
+                out.append((label, j))
+
 
 def reachable(
     model: Model, *, initial: InfraGraph | None = None, max_states: int | None = None
@@ -131,25 +185,10 @@ def reachable(
     if start.edges != model.initial.edges:
         # Every state shares the start's edges, which the model's tables fix.
         model = model._clone(initial=start)
-    states: list[tuple] = [encode(model, start)]
-    index: dict[tuple, int] = {states[0]: 0}
-    edges: list[list[tuple[TransitionLabel, int]]] = []
-    # Breadth-first: states are expanded in discovery order, and the list
-    # grows while it is walked.
-    for v in states:
-        out = []
-        for label, succ in successors(model, v):
-            j = index.get(succ)
-            if j is None:
-                if max_states is not None and len(states) >= max_states:
-                    raise ExplorationLimitError(
-                        f"state space exceeds the cap of {max_states} states"
-                    )
-                j = index[succ] = len(states)
-                states.append(succ)
-            out.append((label, j))
-        edges.append(out)
-    k = KripkeModel(model, states, edges, frozenset({0}), index)
+    x = Exploration(model, start, max_states)
+    for _ in x.discover():
+        pass
+    k = KripkeModel(model, x.states, x.edges, frozenset({0}), x.index)
     k._graphs[0] = start
     return k
 
@@ -279,21 +318,16 @@ class AR(CtlFormula):
 
 def formula_predicates(formula: CtlFormula) -> set[str]:
     """All predicate names mentioned in a formula."""
-    match formula:
-        case Pred(name=name):
-            return {name}
-        case Not(arg=a) | EX(arg=a) | AX(arg=a) | EF(arg=a) | AF(arg=a) | EG(arg=a) | AG(arg=a):
-            return formula_predicates(a)
-        case (
-            And(left=a, right=b)
-            | Or(left=a, right=b)
-            | EU(left=a, right=b)
-            | AU(left=a, right=b)
-            | ER(left=a, right=b)
-            | AR(left=a, right=b)
-        ):
-            return formula_predicates(a) | formula_predicates(b)
-    raise ModelError(f"unknown formula node {formula!r}")
+    names, stack = set(), [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Pred):
+            names.add(f.name)
+        elif isinstance(f, (Not, And, Or)) or type(f) in _SHAPES:
+            stack += [getattr(f, name) for name in f.__match_args__]
+        else:
+            raise ModelError(f"unknown formula node {f!r}")
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -302,64 +336,97 @@ def formula_predicates(formula: CtlFormula) -> set[str]:
 
 def eval_ctl(k: KripkeModel, formula: CtlFormula, *, debug: bool = False) -> frozenset[int]:
     """The exact satisfying subset of ``k``'s states."""
+    # One frame per nesting level and no closure that refers to itself: deep
+    # formulas fit the recursion limit, and no garbage waits for the collector.
+    match formula:
+        case Pred(name=name):
+            return k.label(name)
+        case Not(arg=x):
+            return k.universe - eval_ctl(k, x, debug=debug)
+        case And(left=x, right=y):
+            return eval_ctl(k, x, debug=debug) & eval_ctl(k, y, debug=debug)
+        case Or(left=x, right=y):
+            return eval_ctl(k, x, debug=debug) | eval_ctl(k, y, debug=debug)
+        case EX(arg=x) | AX(arg=x) | EF(arg=x) | AF(arg=x) | EG(arg=x) | AG(arg=x):
+            a, b = None, eval_ctl(k, x, debug=debug)
+        case EU(left=x, right=y) | AU(left=x, right=y) | ER(left=x, right=y) | AR(left=x, right=y):
+            a, b = eval_ctl(k, x, debug=debug), eval_ctl(k, y, debug=debug)
+        case _:
+            raise ModelError(f"unknown formula node {formula!r}")
+    quant, kind, left = _SHAPES[type(formula)]
     universe = k.universe
+    if left is not None:
+        a = universe if left else frozenset()
+    if kind == "X":  # EX b: the predecessors of b; AX b = !EX !b
+        preds = k.backward()[0]
+        ex = frozenset([i for j in (b if quant == "E" else universe - b) for i in preds[j]])
+        result = ex if quant == "E" else universe - ex
+    elif kind == "U":
+        result = (_eu if quant == "E" else _au)(k, a, b)
+    else:  # E[a R b] = !A[!a U !b], A[a R b] = !E[!a U !b]
+        result = universe - (_au if quant == "E" else _eu)(k, universe - a, universe - b)
+    if debug:
+        _check_reference(k, formula, quant, kind, a, b, result)
+    return result
 
-    def ex_step(target: frozenset[int]) -> frozenset[int]:
-        return frozenset(i for i in universe if any(j in target for j in k.successors_of(i)))
 
-    def ax_step(target: frozenset[int]) -> frozenset[int]:
-        return frozenset(i for i in universe if all(j in target for j in k.successors_of(i)))
+# Each temporal operator as (path quantifier, kind, left operand): EF/AF are
+# until (U) with ``left`` true, EG/AG release (R) with ``left`` false.
+_SHAPES = {
+    EX: ("E", "X", None), AX: ("A", "X", None),
+    EF: ("E", "U", True), AF: ("A", "U", True), EU: ("E", "U", None), AU: ("A", "U", None),
+    EG: ("E", "R", False), AG: ("A", "R", False), ER: ("E", "R", None), AR: ("A", "R", None),
+}
 
-    def sat(f: CtlFormula) -> frozenset[int]:
-        match f:
-            case Pred(name=name):
-                holds = tables(k.model).predicate(name)
-                return frozenset(i for i, v in enumerate(k.states) if holds(v, None))
-            case Not(arg=a):
-                return universe - sat(a)
-            case And(left=a, right=b):
-                return sat(a) & sat(b)
-            case Or(left=a, right=b):
-                return sat(a) | sat(b)
-            case EX(arg=a):
-                return ex_step(sat(a))
-            case AX(arg=a):
-                return ax_step(sat(a))
-            case EF(arg=a):
-                fa = sat(a)
-                return lfp_iterate(lambda z: fa | ex_step(z), universe, debug=debug)
-            case AF(arg=a):
-                fa = sat(a)
-                return lfp_iterate(lambda z: fa | ax_step(z), universe, debug=debug)
-            case EG(arg=a):
-                fa = sat(a)
-                return gfp_iterate(lambda z: fa & ex_step(z), universe, debug=debug)
-            case AG(arg=a):
-                fa = sat(a)
-                result = gfp_iterate(lambda z: fa & ax_step(z), universe, debug=debug)
-                if debug:
-                    complement = universe - fa
-                    dual = lfp_iterate(
-                        lambda z: complement | ex_step(z), universe, debug=False
-                    )
-                    if result != universe - dual:
-                        raise MonotonicityError("AG/EF duality violated")
-                return result
-            case EU(left=a, right=b):
-                fa, fb = sat(a), sat(b)
-                return lfp_iterate(lambda z: fb | (fa & ex_step(z)), universe, debug=debug)
-            case AU(left=a, right=b):
-                fa, fb = sat(a), sat(b)
-                return lfp_iterate(lambda z: fb | (fa & ax_step(z)), universe, debug=debug)
-            case ER(left=a, right=b):
-                fa, fb = sat(a), sat(b)
-                return gfp_iterate(lambda z: fb & (fa | ex_step(z)), universe, debug=debug)
-            case AR(left=a, right=b):
-                fa, fb = sat(a), sat(b)
-                return gfp_iterate(lambda z: fb & (fa | ax_step(z)), universe, debug=debug)
-        raise ModelError(f"unknown formula node {f!r}")
 
-    return sat(formula)
+def _eu(k: KripkeModel, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    """E[a U b]: ``b``, grown backward through predecessors in ``a``."""
+    preds = k.backward()[0]
+    found, todo = set(b), list(b)
+    while todo:
+        for i in preds[todo.pop()]:
+            if i not in found and i in a:
+                found.add(i)
+                todo.append(i)
+    return frozenset(found)
+
+
+def _au(k: KripkeModel, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    """A[a U b]: ``b``, and each state of ``a`` once all its distinct
+    successors are in; a deadlock in ``a`` joins at once."""
+    preds, degree = k.backward()
+    waiting = list(degree)
+    found = set(b).union([i for i in a if not degree[i]])
+    todo = list(found)
+    while todo:
+        for i in preds[todo.pop()]:
+            waiting[i] -= 1
+            if not waiting[i] and i not in found and i in a:
+                found.add(i)
+                todo.append(i)
+    return frozenset(found)
+
+
+def _check_reference(k, formula, quant, kind, a, b, result) -> None:
+    """Debug mode: ``result`` must equal the fixpoint of ``formula``'s set transformer
+    over the labelled edges (monotone by construction: no random spot-check)."""
+
+    def step(z, test=any if quant == "E" else all):  # EX z or AX z
+        return frozenset(i for i, out in enumerate(k.edges) if test(j in z for _, j in out))
+
+    universe = k.universe
+    if kind == "X":
+        expected = step(b)
+    elif kind == "U":
+        expected = lfp_iterate(lambda z: b | (a & step(z)), universe)
+    else:
+        expected = gfp_iterate(lambda z: b & (a | step(z)), universe)
+    if isinstance(formula, AG):  # also as !EF !f
+        dual = lfp_iterate(lambda z: (universe - b) | step(z, any), universe)
+        if result != expected or result != universe - dual:
+            raise MonotonicityError("AG/EF duality violated")
+    if result != expected:
+        raise MonotonicityError(f"{type(formula).__name__} disagrees with its fixpoint")
 
 
 @record(frozen=True)
@@ -413,18 +480,20 @@ def shortest_path(
                 seen.add(j)
                 parent[j] = (i, label)
                 if j in targets:
-                    states = [j]
-                    labels = []
-                    cur = j
-                    while cur not in sources:
-                        prev, lab = parent[cur]
-                        states.append(prev)
-                        labels.append(lab)
-                        cur = prev
-                    return TracePath(tuple(reversed(states)), tuple(reversed(labels)))
+                    return _unwind(parent, j, sources)
                 nxt.append(j)
         frontier = nxt
     return None
+
+
+def _unwind(parent: dict, j: int, sources) -> TracePath:
+    """The path to ``j`` along the ``parent`` links, back to a source."""
+    states, labels = [j], []
+    while j not in sources:
+        j, label = parent[j]
+        states.append(j)
+        labels.append(label)
+    return TracePath(tuple(reversed(states)), tuple(reversed(labels)))
 
 
 def shortest_path_via(k: KripkeModel, waypoints) -> TracePath | None:
@@ -475,6 +544,44 @@ def extract_trace(k: KripkeModel, formula: CtlFormula, mode: str) -> TracePath:
     raise TraceError(f"unknown trace mode {mode!r}")
 
 
+def find_witness(model: Model, formula: CtlFormula, *, max_states: int | None = None) -> tuple:
+    """``(k, path)``: ``extract_trace``'s witness of ``EF g`` (None if it
+    fails) and the states it indexes.  For ``g`` of predicates, ``!``, ``&``
+    and ``|``, the search stops at the first goal state, and ``k`` is that
+    :class:`Exploration`; otherwise ``k`` is ``reachable(model)``."""
+    if not isinstance(formula, EF):
+        raise TraceError("witness extraction requires a formula of shape EF g")
+    goal = _state_test(tables(model), formula.arg)
+    if goal is None:
+        k = reachable(model, max_states=max_states)
+        return k, shortest_path(k, eval_ctl(k, formula.arg))
+    x = Exploration(model, model.initial, max_states)
+    if goal(x.states[0], None):
+        return x, TracePath((0,), ())
+    parent: dict = {}
+    for j, i, label in x.discover():
+        parent[j] = (i, label)
+        if goal(x.states[j], None):
+            return x, _unwind(parent, j, (0,))
+    return x, None
+
+
+def _state_test(t, g):
+    """A propositional ``g`` compiled over state vectors, else None."""
+    match g:
+        case Pred(name=name):
+            return t.predicate(name)
+        case Not(arg=x):
+            p = _state_test(t, x)
+            return p and (lambda v, rep: not p(v, rep))
+        case And(left=x, right=y) | Or(left=x, right=y):
+            p, q = _state_test(t, x), _state_test(t, y)
+            if isinstance(g, And):
+                return p and q and (lambda v, rep: p(v, rep) and q(v, rep))
+            return p and q and (lambda v, rep: p(v, rep) or q(v, rep))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Presentation
 
@@ -485,7 +592,7 @@ def describe_graph(model: Model, graph: InfraGraph) -> str:
     return tables(model).describe(encode(model, graph))
 
 
-def format_trace(k: KripkeModel, path: TracePath) -> str:
+def format_trace(k: KripkeModel | Exploration, path: TracePath) -> str:
     describe = tables(k.model).describe
     lines = [f"s{path.states[0]}: {describe(k.states[path.states[0]])}"]
     for label, state in zip(path.labels, path.states[1:]):

@@ -38,6 +38,9 @@ class DoorState:
             raise ValueError(f"unknown door mode {self.mode!r}")
         if self.pin_timer is not None and self.mode != NORMAL:
             raise ValueError("pin timer is only meaningful in Normal mode")
+        for what, t in (("clock", self.clock), ("pin timer", self.pin_timer)):
+            if t is not None and not -_INF < t < _INF:
+                raise ValueError(f"door {what} {_fmt(t)} is not finite")
 
 
 @record(frozen=True)
@@ -94,11 +97,15 @@ class TraceStep:
 
 
 def door_run(events, start: DoorState = INITIAL) -> list[TraceStep]:
-    """Fold :func:`door_step` over a finite script, recording each step."""
+    """Fold :func:`door_step` over a finite script, recording each step;
+    a clock that leaves the floats raises :class:`DoorScriptError`."""
     trace = []
     state = start
-    for event in events:
-        state = door_step(state, event)
+    for i, event in enumerate(events):
+        try:
+            state = door_step(state, event)
+        except ValueError as exc:  # the clock left the floats
+            raise DoorScriptError(f"step {i} ({_event_text(event)}): {exc}") from None
         trace.append(TraceStep(event, state, is_open(state)))
     return trace
 
@@ -156,12 +163,16 @@ def _fmt(x: float) -> str:
     return f"{x:g}"
 
 
+def _event_text(event: DoorEvent) -> str:
+    return event.kind if event.kind != "epsilon" else f"wait {_fmt(event.dt)}"
+
+
 def format_trace(trace) -> str:
     """Tab-separated trace lines: step, event, mode, clock, pin_timer,
     is_open."""
     lines = []
     for i, step in enumerate(trace):
-        event = step.event.kind if step.event.kind != "epsilon" else f"wait {_fmt(step.event.dt)}"
+        event = _event_text(step.event)
         timer = "-" if step.state.pin_timer is None else _fmt(step.state.pin_timer)
         lines.append(
             "\t".join(

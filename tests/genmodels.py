@@ -23,11 +23,15 @@ from insiderctl.model import (
     Model,
     MOTIVATIONS,
     PSY_STATES,
+    PAnd,
     PAt,
+    PBool,
     PCountAtLeast,
     PEnables,
     PInSet,
     PIsIn,
+    PNot,
+    POr,
     RequesterAt,
     StatePredicate,
     TrueCond,
@@ -138,6 +142,22 @@ def random_model(seed: int) -> Model:
         named_predicates=predicates,
         assumptions=assumptions,
     )
+
+
+def with_false_predicates(model: Model) -> Model:
+    """``model`` with four more predicates built on the constant ``false``,
+    around its ``goal``: ``false``, ``!false``, ``false | goal`` and
+    ``goal & !false``.  A wrapper, so that :func:`random_model`'s draws,
+    which the golden DOT digests pin, stay as they are."""
+    goal, false = model.named_predicates["goal"].body, PBool(False)
+    extra = {
+        "never": false,
+        "always": PNot(false),
+        "false_or_goal": POr(false, goal),
+        "goal_and_not_false": PAnd(goal, PNot(false)),
+    }
+    named = {name: StatePredicate(name, body) for name, body in extra.items()}
+    return model._clone(named_predicates={**model.named_predicates, **named})
 
 
 def with_passengers(model: Model, count: int) -> Model:

@@ -280,6 +280,13 @@ class TestExitCodeContract:
         self.assert_error(result, "line 2: wait needs a positive, finite duration")
         assert result.stdout == ""
 
+    def test_door_clock_overflow(self, tmp_path):
+        path = tmp_path / "overflow.door"
+        path.write_text("wait 1e308\nwait 1e308\npin_ok\nwait 31\n")
+        result = run_module("door-sim", str(path))
+        self.assert_error(result, "step 1 (wait 1e+308): door clock inf is not finite")
+        assert result.stdout == ""
+
     def test_dot_file_not_writable(self, tmp_path):
         target = tmp_path / "missing" / "x.dot"
         result = run_module("reach", MODEL, "--dot", str(target))

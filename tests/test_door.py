@@ -171,6 +171,17 @@ wait 300
         with pytest.raises(DoorScriptError, match=message):
             parse_script(f"lock\n\nwait {dt}\nwait 400\n")
 
+    def test_clock_overflow_names_the_step(self):
+        events = parse_script("wait 1e308\nwait 1e308\npin_ok\nwait 31\n")
+        message = r"step 1 \(wait 1e\+308\): door clock inf is not finite"
+        with pytest.raises(DoorScriptError, match=message):
+            door_run(events)
+
+    def test_state_refuses_non_finite_times(self):
+        for clock, timer in ((float("inf"), None), (float("nan"), None), (0.0, float("inf"))):
+            with pytest.raises(ValueError, match="is not finite"):
+                DoorState(NORMAL, clock, timer)
+
     def test_event_validation(self):
         with pytest.raises(ValueError):
             DoorEvent("epsilon", 0.0)

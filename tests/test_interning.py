@@ -5,12 +5,13 @@ two extra cabin passengers, and on the paper's variants with and without the
 cockpit foe-control assumption.
 
 ``genmodels.random_model`` seeds 0-59 cover the ``get`` rule, insider
-classes and deadlocking models.
+classes and deadlocking models; ``with_false_predicates`` adds predicates
+built on the constant ``false``.
 """
 
 import pytest
 
-from genmodels import random_model, with_passengers
+from genmodels import random_model, with_false_predicates, with_passengers
 from oracles import o_condition, o_enables, o_predicate, o_reps, o_world
 from insiderctl import airplane
 from insiderctl.ctl import (
@@ -57,7 +58,8 @@ def paper_models():
 
 @pytest.fixture(scope="module")
 def explored():
-    models = [(seed, random_model(seed)) for seed in SEEDS] + paper_models()
+    models = [(seed, with_false_predicates(random_model(seed))) for seed in SEEDS]
+    models += paper_models()
     return [(name, reachable(model)) for name, model in models]
 
 
