@@ -103,9 +103,9 @@ class KripkeModel:
             )
 
     def graph(self, i: int) -> InfraGraph:
-        """The validated snapshot of state ``i``: for the initial state the
-        snapshot exploration started from, for any other built from its
-        vector on first request."""
+        """The validated snapshot of state ``i``: for the initial state
+        ``model.initial``, for any other built from its vector on first
+        request."""
         graph = self._graphs.get(i)
         if graph is None:
             graph = self._graphs[i] = tables(self.model).graph(self.states[i])
@@ -146,15 +146,15 @@ class KripkeModel:
 
 
 class Exploration:
-    """Breadth-first search over state vectors from ``start``: ``states`` in
-    discovery order, ``index`` from vector to position, and the labelled
-    ``edges`` of the states expanded so far."""
+    """Breadth-first search over state vectors from ``model.initial``:
+    ``states`` in discovery order, ``index`` from vector to position, and
+    the labelled ``edges`` of the states expanded so far."""
 
     __slots__ = ("model", "states", "index", "edges", "max_states")
 
-    def __init__(self, model: Model, start: InfraGraph, max_states: int | None = None):
+    def __init__(self, model: Model, max_states: int | None = None):
         self.model, self.max_states, self.edges = model, max_states, []
-        self.states = [encode(model, start)]
+        self.states = [encode(model, model.initial)]
         self.index = {self.states[0]: 0}
 
     def discover(self):
@@ -174,22 +174,16 @@ class Exploration:
                 out.append((label, j))
 
 
-def reachable(
-    model: Model, *, initial: InfraGraph | None = None, max_states: int | None = None
-) -> KripkeModel:
+def reachable(model: Model, *, max_states: int | None = None) -> KripkeModel:
     """Breadth-first closure of the transition rules from the initial
     snapshot, over state vectors.  States are indexed by discovery order;
     raises :class:`ExplorationLimitError` when ``max_states`` is exceeded.
     ``index`` maps each state's vector to its index."""
-    start = model.initial if initial is None else initial
-    if start.edges != model.initial.edges:
-        # Every state shares the start's edges, which the model's tables fix.
-        model = model._clone(initial=start)
-    x = Exploration(model, start, max_states)
+    x = Exploration(model, max_states)
     for _ in x.discover():
         pass
     k = KripkeModel(model, x.states, x.edges, frozenset({0}), x.index)
-    k._graphs[0] = start
+    k._graphs[0] = model.initial
     return k
 
 
@@ -258,8 +252,7 @@ class Pred(CtlFormula):
     name: str
 
 
-# The connectives are the ones conditions and predicates use.
-FNot, FAnd, FOr = Not, And, Or
+# The connectives are model.Not/And/Or, which conditions and predicates share.
 
 
 @record(frozen=True)
@@ -555,7 +548,7 @@ def find_witness(model: Model, formula: CtlFormula, *, max_states: int | None = 
     if goal is None:
         k = reachable(model, max_states=max_states)
         return k, shortest_path(k, eval_ctl(k, formula.arg))
-    x = Exploration(model, model.initial, max_states)
+    x = Exploration(model, max_states)
     if goal(x.states[0], None):
         return x, TracePath((0,), ())
     parent: dict = {}
@@ -600,12 +593,18 @@ def format_trace(k: KripkeModel | Exploration, path: TracePath) -> str:
     return "\n".join(lines)
 
 
+def _dot_text(text: str) -> str:
+    """``text`` inside a quoted DOT label: backslashes doubled and ``"``
+    written as ``'``, so no name ends the label or reads as an escape."""
+    return text.replace("\\", "\\\\").replace('"', "'")
+
+
 def dot_export(k: KripkeModel) -> str:
     """GraphViz rendering with stable node and edge ordering."""
     lines = ["digraph kripke {", "  rankdir=LR;", '  node [shape=box fontname="monospace"];']
     describe = tables(k.model).describe
     for i, v in enumerate(k.states):
-        desc = describe(v).replace(" | ", "\\n").replace('"', "'")
+        desc = _dot_text(describe(v)).replace(" | ", "\\n")
         extra = " penwidth=2" if i in k.init else ""
         lines.append(f'  s{i} [label="s{i}\\n{desc}"{extra}];')
     # Edges share interned labels, so each label is formatted once.
@@ -614,7 +613,7 @@ def dot_export(k: KripkeModel) -> str:
         for label, j in out:
             text = texts.get(id(label))
             if text is None:
-                text = texts[id(label)] = str(label).replace('"', "'")
+                text = texts[id(label)] = _dot_text(str(label))
             lines.append(f'  s{i} -> s{j} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -233,16 +233,9 @@ class InfraGraph:
     def value_of(self, loc: Location) -> str | None:
         return self.loc_value.get(loc)
 
-    def credentials_of(self, identity: str) -> frozenset[str]:
-        return self.credentials.get(identity, frozenset())
-
     def actors(self) -> tuple[str, ...]:
         """All placed identities, in identity order."""
         return tuple(sorted(i for ids in self.placements.values() for i in ids))
-
-    def nodes(self) -> frozenset:
-        """Locations touching at least one edge."""
-        return frozenset(l for e in self.edges for l in e)
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +608,8 @@ class Model:
                 for pol in policies:
                     self._check_atoms(pol.condition, known, "policy condition")
         self._check_graph(self.initial, known)
+        if self.initial.edges != self.edges:
+            raise ModelError("the initial snapshot's edges differ from the model's edges")
         for pred in self.named_predicates.values():
             if pred.param is not None and pred.param in self.identities:
                 raise ModelError(
@@ -696,28 +691,26 @@ class Tables:
     policies and foe-control assumptions are compiled into one judgment
     ``(vector, rep) -> bool`` per granted (location index, action), the
     named predicates on request (:meth:`predicate`), and the transition
-    rules intern their labels in ``labels``.  Every state shares the initial
-    snapshot's edges, which no rule changes; ``targets`` are the indices of
-    the locations they touch, where ``move`` may go.
+    rules intern their labels in ``labels``.  Every state shares the model's
+    edges, which no rule changes; ``targets`` are the indices of the
+    locations they touch, where ``move`` may go.  :func:`encode` turns a
+    snapshot into a vector, and :meth:`graph` a vector into a snapshot.
     """
 
     def __init__(self, model: Model) -> None:
         self.ids = ids = tuple(sorted(model.identities))
         self.locs = locs = model.locations
-        self.layout, self.n, self.labels = (ids, locs), len(ids), {}
+        self.n, self.labels = len(ids), {}
         self.names = tuple(loc.name for loc in locs)
         self.id_pos = {ident: p for p, ident in enumerate(ids)}
         self.loc_pos = {loc: k for k, loc in enumerate(locs)}
         self.edges = model.initial.edges
-        self.targets = node_indices(locs, self.edges)
+        nodes = {loc for e in self.edges for loc in e}
+        self.targets = [k for k, loc in enumerate(locs) if loc in nodes]
         self.sets, self.named, self.compiled = model.identity_sets, model.named_predicates, {}
         self.rep_of = rep_of = model.resolver._rep
-        classes = model.resolver._members
         self.reps = reps = tuple(rep_of.get(i, i) for i in ids)
-        # Member positions as ActorResolver.members gives them: a
-        # representative's whole class, any other identity itself ...
-        self.members = {i: tuple(sorted(map(self.id_pos.get, classes.get(i, (i,))))) for i in ids}
-        # ... and the positions of the identities each representative stands for.
+        # The positions of the identities each representative stands for.
         self.at = {r: tuple(p for p, x in enumerate(reps) if x == r) for r in reps}
         self.alphabet = tuple(tuple(sorted(model.value_alphabet.get(l, ()))) for l in locs)
         self.writable = [k for k, values in enumerate(self.alphabet) if values]
@@ -737,19 +730,15 @@ class Tables:
         for (k, action), conds in granted.items():
             self.grant[action][k] = _judge(k, conds, outside.get((k, action)))
 
-    def graph(self, key: tuple, edges=None) -> InfraGraph:
-        """The validated snapshot whose vector is ``key``, with ``edges``
-        (by default the initial snapshot's)."""
+    def graph(self, key: tuple) -> InfraGraph:
+        """The validated snapshot whose vector is ``key``."""
         n, ids = self.n, self.ids
-        edges = self.edges if edges is None else edges
         placements: dict = {}
         for p in range(n):
             if key[p] >= 0:
                 placements.setdefault(self.locs[key[p]], []).append(ids[p])
         creds, roles = dict(zip(ids, key[n : 2 * n])), dict(zip(ids, key[2 * n : 3 * n]))
-        graph = InfraGraph(edges, placements, creds, roles, dict(zip(self.locs, key[3 * n :])))
-        object.__setattr__(graph, "_state", (self.layout, key))
-        return graph
+        return InfraGraph(self.edges, placements, creds, roles, dict(zip(self.locs, key[3 * n :])))
 
     def describe(self, key: tuple) -> str:
         """One line for the snapshot whose vector is ``key``: the occupied
@@ -775,12 +764,6 @@ class Tables:
                 raise ModelError(f"unknown predicate name {name!r}")
             holds = self.compiled[name, arg] = vector_condition(predicate_body(pred, arg), self)
         return holds
-
-
-def node_indices(locs, edges) -> list[int]:
-    """The indices in ``locs`` of the locations that ``edges`` touch."""
-    nodes = {loc for e in edges for loc in e}
-    return [k for k, loc in enumerate(locs) if loc in nodes]
 
 
 def tables(model: Model) -> Tables:
@@ -818,19 +801,18 @@ def vector_condition(cond, t: Tables):
     This is the one definition of what each atom means: :func:`enables`
     and :func:`eval_predicate` run what it builds.  ``PEnables`` reuses the
     judgments in ``t.grant``."""
-    n = t.n
+    n, at = t.n, t.at
     match cond:
         case PBool(value=value):
             return _always if value else _never
         case RequesterAt(loc=loc):
-            k, at = t.loc_pos[loc], t.at
+            k = t.loc_pos[loc]
             return lambda v, rep: k in [v[p] for p in at.get(rep, ())]
         case HasCred(cred=cred):
-            members = t.members
-            return lambda v, rep: any(cred in v[n + p] for p in members.get(rep, ()))
+            return lambda v, rep: any(cred in v[n + p] for p in at.get(rep, ()))
         case HasRole(role=role):
-            members, base = t.members, 2 * n
-            return lambda v, rep: any(role in v[base + p] for p in members.get(rep, ()))
+            base = 2 * n
+            return lambda v, rep: any(role in v[base + p] for p in at.get(rep, ()))
         case IsIn(loc=loc, value=value):
             slot = 3 * n + t.loc_pos[loc]
             return lambda v, rep: v[slot] == value
@@ -865,13 +847,9 @@ def vector_condition(cond, t: Tables):
 
 def encode(model: Model, graph: InfraGraph) -> tuple:
     """``graph``'s state vector under ``model``'s layout (see
-    :class:`Tables`), computed once and cached on the graph.  Raises
-    :class:`ModelError` when the snapshot names an identity or a location
-    the model lacks."""
+    :class:`Tables`).  Raises :class:`ModelError` when the snapshot names an
+    identity or a location the model lacks."""
     t = tables(model)
-    cached = graph.__dict__.get("_state")
-    if cached is not None and cached[0] == t.layout:
-        return cached[1]
     where = {i: loc for loc, idents in graph.placements.items() for i in idents}
     lacking = [
         *({*graph.placements, *graph.loc_value} - t.loc_pos.keys()),
@@ -879,14 +857,12 @@ def encode(model: Model, graph: InfraGraph) -> tuple:
     ]
     if lacking:
         raise ModelError(f"snapshot names {lacking[0]!r}, which the model lacks")
-    key = (
+    return (
         *(t.loc_pos.get(where.get(i), -1) for i in t.ids),
         *(graph.credentials.get(i, _EMPTY) for i in t.ids),
         *(graph.roles.get(i, _EMPTY) for i in t.ids),
         *(graph.loc_value.get(loc) for loc in t.locs),
     )
-    object.__setattr__(graph, "_state", (t.layout, key))
-    return key
 
 
 def enables(model: Model, graph: InfraGraph, loc: Location, rep: str, action: str) -> bool:

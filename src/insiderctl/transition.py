@@ -16,13 +16,12 @@ Successors are emitted in a fixed order (rule, then identity, then location,
 then value) so exploration is deterministic.  Self-loops (for example,
 re-writing the value a location already has) are kept.
 
-Each snapshot has a state vector, ``encode(model, graph)``: one flat tuple of
-location indices, credential and role sets and values (see
+A state is a state vector, ``encode(model, graph)`` of its snapshot: one
+flat tuple of location indices, credential and role sets and values (see
 :class:`~insiderctl.model.Tables`) that hashes and compares in C.  A rule
-instance changes one slot of it, so :func:`successors` works on vectors: it
-derives each successor's vector by replacing that slot and reuses one
-interned label per rule instance of the model.  Given a snapshot, it builds
-the successor snapshots from those vectors.
+instance changes one slot of it, so :func:`successors` derives each
+successor's vector by replacing that slot and reuses one interned label per
+rule instance of the model.
 
 The ``eval`` action exists in the action vocabulary but has no transition
 rule; policies granting only ``eval`` are flagged by :func:`lint_model`.
@@ -30,7 +29,7 @@ rule; policies granting only ``eval`` are flagged by :func:`lint_model`.
 
 from __future__ import annotations
 
-from .model import _EMPTY, InfraGraph, Location, Model, Tables, by_id, encode, node_indices, tables
+from .model import _EMPTY, InfraGraph, Location, Model, Tables, by_id, tables
 from .model import enables  # noqa: F401  (bench/layers.py times calls to transition.enables)
 from .record import record
 
@@ -82,34 +81,14 @@ def _label(t: Tables, rule: str, p: int, a: int, b, cred: str | None = None) -> 
     return TransitionLabel(rule, t.ids[p], loc=t.locs[a], value=b)
 
 
-def successors(model: Model, state) -> list:
-    """Every enabled rule instance from ``state``, in deterministic order.
-
-    ``state`` is a state vector (see :class:`~insiderctl.model.Tables`),
-    and the result is a list of ``(label, successor vector)`` pairs; or it
-    is a snapshot, and the result is a list of ``(label, successor
-    snapshot)`` pairs built from those vectors.  No-op instances (a move to
-    the current location, a credential already held, the current value)
-    lead to an equal vector, or to the snapshot ``state`` itself.
-    """
+def successors(model: Model, v: tuple) -> list:
+    """The ``(label, successor vector)`` pairs of every enabled rule
+    instance from the state vector ``v``, in deterministic order.  Each
+    successor replaces one slot of ``v``; a no-op instance (a move to the
+    current location, a credential already held, the current value) leads
+    to an equal vector.  Labels are interned in ``tables(model).labels``."""
     t = tables(model)
-    if not isinstance(state, InfraGraph):
-        return _step(t, state, t.targets)
-    v, edges = encode(model, state), state.edges
-    # A snapshot keeps its own edges, which may differ from the model's.
-    targets = t.targets if edges == t.edges else node_indices(t.locs, edges)
-    return [
-        (label, state if succ == v else t.graph(succ, edges))
-        for label, succ in _step(t, v, targets)
-    ]
-
-
-def _step(t: Tables, v: tuple, targets: list) -> list:
-    """The ``(label, successor vector)`` pairs of vector ``v``, where
-    ``move`` may go to the location indices in ``targets``.  Each
-    successor replaces one slot of ``v``; each label is interned in
-    ``t.labels`` under its rule, slots and credential or value."""
-    n, reps, labels = t.n, t.reps, t.labels
+    n, reps, labels, targets = t.n, t.reps, t.labels, t.targets
     moving, getting, putting = t.grant["move"], t.grant["get"], t.grant["put"]
     out: list = []
     append = out.append
@@ -136,7 +115,7 @@ def _step(t: Tables, v: tuple, targets: list) -> list:
         k = v[p]
         if k < 0 or not getting[k] or not getting[k](v, reps[p]):
             continue
-        creds = sorted(_EMPTY.union(*(v[n + m] for m in t.members[reps[p]])))
+        creds = sorted(_EMPTY.union(*(v[n + m] for m in t.at[reps[p]])))
         for r in range(n):
             if v[r] != k:
                 continue

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,7 +12,6 @@ from insiderctl.ctl import (
     AX,
     EF,
     EX,
-    FNot,
     KripkeModel,
     MonotonicityError,
     Pred,
@@ -29,7 +29,7 @@ from insiderctl.ctl import (
     shortest_path_via,
 )
 from insiderctl.ctl import ExplorationLimitError
-from insiderctl.model import ModelError, PBool, StatePredicate
+from insiderctl.model import ModelError, Not, PBool, StatePredicate
 from insiderctl.airplane import (
     aid_graph,
     agid_graph,
@@ -39,6 +39,7 @@ from insiderctl.airplane import (
     ex_graph,
 )
 from insiderctl.formula import parse_formula
+from insiderctl.modelfile import parse_model
 
 from oracles import backward_closure
 
@@ -238,7 +239,7 @@ class TestEvalCtl:
     def test_ag_ef_duality_explicit(self, four_eyes_kripke):
         k = four_eyes_kripke
         ag = eval_ctl(k, AG(Pred("eve_ok")), debug=True)
-        ef_not = eval_ctl(k, EF(FNot(Pred("eve_ok"))))
+        ef_not = eval_ctl(k, EF(Not(Pred("eve_ok"))))
         assert ag == k.universe - ef_not
 
     def test_ag_closed_under_successors(self, four_eyes_kripke):
@@ -320,3 +321,35 @@ class TestDot:
         assert a.rstrip().endswith("}")
         assert 's0 [label="s0' in a and "penwidth=2" in a
         assert a.count(" -> ") == sum(len(e) for e in four_eyes_kripke.edges)
+
+    def test_labels_escape_backslashes_and_quotes(self):
+        # Names may hold any non-space character, Graphviz's \N among them.
+        k = reachable(parse_model(textwrap.dedent(r"""
+            locations
+              a\N 0
+              b" 1
+            edges
+              a\N -> b"
+            identities
+              Ann\
+            placements
+              a\N: Ann\
+            values
+              b" = x\
+            alphabets
+              b": x\ y"
+            policies baseline
+              at a\N allow move if true
+              at b" allow move if true
+              at b" allow put if true
+            default_policies baseline
+            """)))
+        lines = dot_export(k).splitlines()[3:-1]
+        assert len(lines) == len(k.states) + sum(len(out) for out in k.edges)
+        label = r'\[label="((?:[^"\\]|\\.)*)"'
+        for line in lines:
+            assert re.fullmatch(rf"  s\d+( -> s\d+)? {label}( penwidth=2)?\];", line), line
+        node = re.search(label, lines[0]).group(1)
+        assert re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], node) == (
+            "s0\na\\N:[Ann\\]\nb'=x\\"
+        )

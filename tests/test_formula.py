@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from insiderctl.ctl import AG, AU, AX, EF, ER, EU, EX, FAnd, FNot, FOr, Pred
+from insiderctl.ctl import AG, AU, AX, EF, ER, EU, EX, Pred
 from insiderctl.formula import FormulaParseError, parse_formula, pretty
+from insiderctl.model import And, Not, Or
 
 
 class TestParse:
@@ -10,25 +11,25 @@ class TestParse:
         assert parse_formula("AG eve_ok") == AG(Pred("eve_ok"))
 
     def test_negated_goal(self):
-        assert parse_formula("EF !eve_ok") == EF(FNot(Pred("eve_ok")))
+        assert parse_formula("EF !eve_ok") == EF(Not(Pred("eve_ok")))
 
     def test_precedence_of_until_and_next(self):
-        assert parse_formula("A[p U q] & EX r") == FAnd(
+        assert parse_formula("A[p U q] & EX r") == And(
             AU(Pred("p"), Pred("q")), EX(Pred("r"))
         )
 
     def test_not_binds_tighter_than_and_than_or(self):
-        assert parse_formula("!a & b | c") == FOr(FAnd(FNot(Pred("a")), Pred("b")), Pred("c"))
+        assert parse_formula("!a & b | c") == Or(And(Not(Pred("a")), Pred("b")), Pred("c"))
 
     def test_prefix_binds_tighter_than_binary(self):
-        assert parse_formula("EX a & b") == FAnd(EX(Pred("a")), Pred("b"))
-        assert parse_formula("EX (a & b)") == EX(FAnd(Pred("a"), Pred("b")))
+        assert parse_formula("EX a & b") == And(EX(Pred("a")), Pred("b"))
+        assert parse_formula("EX (a & b)") == EX(And(Pred("a"), Pred("b")))
 
     def test_release_forms(self):
         assert parse_formula("E[a R b]") == ER(Pred("a"), Pred("b"))
 
     def test_left_associativity(self):
-        assert parse_formula("a & b & c") == FAnd(FAnd(Pred("a"), Pred("b")), Pred("c"))
+        assert parse_formula("a & b & c") == And(And(Pred("a"), Pred("b")), Pred("c"))
 
     def test_nested_until(self):
         f = parse_formula("A[a U E[b U c]]")
@@ -63,8 +64,8 @@ names = st.sampled_from(["p", "q", "eve_ok", "r2", "goal"])
 
 
 def formulas():
-    unary = st.sampled_from([FNot, EX, AX, EF])
-    binary = st.sampled_from([FAnd, FOr, AU, EU, ER])
+    unary = st.sampled_from([Not, EX, AX, EF])
+    binary = st.sampled_from([And, Or, AU, EU, ER])
     return st.recursive(
         names.map(Pred),
         lambda children: st.one_of(
@@ -83,7 +84,7 @@ class TestPretty:
         assert pretty(parse_formula("A[p U q] & EX r")) == "A[p U q] & EX r"
 
     def test_right_nested_connectives_keep_parens(self):
-        f = FAnd(Pred("a"), FAnd(Pred("b"), Pred("c")))
+        f = And(Pred("a"), And(Pred("b"), Pred("c")))
         assert pretty(f) == "a & (b & c)"
         assert parse_formula(pretty(f)) == f
 

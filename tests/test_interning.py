@@ -1,8 +1,8 @@
-"""The flat state vector, successors over vectors, snapshots built on
-request, and the policy conditions and named predicates compiled over the
-vector, cross-checked on seeded random models, on the airplane with one and
-two extra cabin passengers, and on the paper's variants with and without the
-cockpit foe-control assumption.
+"""The flat state vector, snapshots built on request, and the policy
+conditions and named predicates compiled over the vector, cross-checked on
+seeded random models, on the airplane with one and two extra cabin
+passengers, and on the paper's variants with and without the cockpit
+foe-control assumption.
 
 ``genmodels.random_model`` seeds 0-59 cover the ``get`` rule, insider
 classes and deadlocking models; ``with_false_predicates`` adds predicates
@@ -35,13 +35,12 @@ from insiderctl.model import (
     tables,
     vector_condition,
 )
-from insiderctl.transition import successors
 
 SEEDS = range(60)
 
 
 def fresh(graph: InfraGraph) -> InfraGraph:
-    """An equal snapshot built anew, with no cached key."""
+    """An equal snapshot built anew."""
     return InfraGraph(graph.edges, graph.placements, graph.credentials, graph.roles, graph.loc_value)
 
 
@@ -77,24 +76,8 @@ def test_seeds_cover_get_insiders_and_deadlocks(explored):
 def test_state_keys_equal_fresh_encodings(explored):
     for name, k in explored:
         for i, graph in enumerate(k.graphs):
-            copy = fresh(graph)
-            assert "_state" not in copy.__dict__
-            assert k.states[i] == encode(k.model, copy), (name, i)
+            assert k.states[i] == encode(k.model, fresh(graph)), (name, i)
             assert k.index[k.states[i]] == i
-
-
-def test_vector_successors_agree_with_graph_successors(explored):
-    for name, k in explored:
-        for i, v in enumerate(k.states):
-            plain_source = fresh(k.graph(i))
-            plain = successors(k.model, plain_source)
-            vectors = successors(k.model, v)
-            assert [label for label, _ in vectors] == [label for label, _ in plain]
-            for (label, key), (_, expected) in zip(vectors, plain):
-                assert key == encode(k.model, fresh(expected)), (name, i, str(label))
-                assert k.graph(k.index[key]) == expected, (name, i, str(label))
-                if key == v:  # a no-op leads back to the snapshot itself
-                    assert expected is plain_source, (name, i, str(label))
 
 
 def test_snapshots_on_request_round_trip(explored):
@@ -154,18 +137,6 @@ def test_snapshots_share_the_model_edge_set(baseline_kripke):
     a, b = next(iter(edges))
     listed = InfraGraph([[a, b], [b, a]], {}, {}, {}, {})
     assert listed.edges == frozenset({(a, b), (b, a)})
-
-
-def test_exploring_from_a_snapshot_with_other_edges(baseline_model):
-    g = baseline_model.initial
-    edges = frozenset(e for e in g.edges if airplane.cockpit not in e)
-    start = InfraGraph(edges, g.placements, g.credentials, g.roles, g.loc_value)
-    k = reachable(baseline_model, initial=start)
-    assert k.graph(0) == start and len(k.states) < 243
-    for i in range(len(k.states)):
-        assert k.graph(i).edges == edges
-        expected = [(label, k.graph(j)) for label, j in k.edges[i]]
-        assert successors(baseline_model, k.graph(i)) == expected
 
 
 def test_engine_builds_no_snapshot(monkeypatch):
