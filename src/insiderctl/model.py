@@ -121,7 +121,6 @@ class ActorResolver:
     classes: tuple[frozenset[str], ...] = ()
 
     _rep: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _members: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for cls in self.classes:
@@ -130,14 +129,10 @@ class ActorResolver:
                 if ident in self._rep:
                     raise ModelError(f"identity {ident!r} appears in two actor classes")
                 self._rep[ident] = rep
-            self._members[rep] = frozenset(cls)
 
     def actor_of(self, identity: str) -> str:
         """The representative of ``identity``'s class."""
         return self._rep.get(identity, identity)
-
-    def members(self, rep: str) -> frozenset[str]:
-        return self._members.get(rep, frozenset((rep,)))
 
 
 def build_resolver(insiders, identities) -> ActorResolver:
@@ -714,21 +709,23 @@ class Tables:
         self.at = {r: tuple(p for p, x in enumerate(reps) if x == r) for r in reps}
         self.alphabet = tuple(tuple(sorted(model.value_alphabet.get(l, ()))) for l in locs)
         self.writable = [k for k, values in enumerate(self.alphabet) if values]
-        granted: dict = {}
+        # (location index, action) -> (condition, closure) of each granting policy
+        self.policies = granted = {}
         for loc, policies in model.policy_map.items():
             for pol in policies:
-                cond = vector_condition(pol.condition, self)
+                pair = (pol.condition, vector_condition(pol.condition, self))
                 for action in pol.actions:
-                    granted.setdefault((self.loc_pos[loc], action), []).append(cond)
+                    granted.setdefault((self.loc_pos[loc], action), []).append(pair)
         # A foe is denied while anyone outside its class is at the location.
-        outside: dict = {}
+        self.outside = outside = {}
         for fc in model.assumptions:
             foe = reps[self.id_pos[fc.foe]]
             others = tuple(p for p, x in enumerate(reps) if x != foe)
             outside.setdefault((self.loc_pos[fc.location], fc.action), {})[foe] = others
         self.grant = {action: [None] * len(locs) for action in ACTIONS}
-        for (k, action), conds in granted.items():
-            self.grant[action][k] = _judge(k, conds, outside.get((k, action)))
+        for (k, action), pairs in granted.items():
+            self.grant[action][k] = _judge(k, [c for _, c in pairs], outside.get((k, action)))
+        self.expanded, self.step = 0, None  # see transition.successors
 
     def graph(self, key: tuple) -> InfraGraph:
         """The validated snapshot whose vector is ``key``."""

@@ -1,0 +1,167 @@
+"""One straight-line next-state function per model, compiled once (as SPIN
+writes a verifier per model, and LTSmin's PINS a next-state function).
+
+The judgment atoms, the foe-control exclusion, each class's positions, the
+move targets, the writable slots and the alphabets are unrolled into the
+source, and constant guards folded.  The function returns the list the
+closures of :mod:`insiderctl.transition` return: the same labels, equal
+vectors, the same order.  The source holds only integers, slot indices and
+text written here; every name and value reaches it through a constants
+tuple.  Models with equal sources share one code object.
+"""
+
+from .model import AllAtAuthorized, And, CountAtLeast, HasCred, HasRole, IsIn, Not, Or
+from .model import PBool, RequesterAt, Tables, vector_condition
+from .transition import _label
+
+_CODE: dict = {}  # source text -> code object, the most recently built last
+_KEEP = 32
+
+
+def _join(op: str, parts: list):
+    """``parts``, expressions and bools, joined by ``op`` (" and " or
+    " or ") with the bools folded: an expression, or a bool."""
+    absorbing = op == " or "  # True absorbs "or", False absorbs "and"
+    if any(part is absorbing for part in parts):
+        return absorbing
+    keep = [part for part in parts if type(part) is str]
+    return (f"({op.join(keep)})" if len(keep) > 1 else keep[0]) if keep else not absorbing
+
+
+def _cond(e, rep: str, t: Tables, const):
+    """``e`` for the class ``rep`` as :func:`vector_condition` means it: an
+    expression over ``v``, ``w = v[:n]`` and ``x0``..., or a bool; ``const``
+    names a constant.  Chains of ``&``, ``|`` and ``!`` are flattened."""
+    n, negate, mine = t.n, False, t.at[rep]
+    while isinstance(e, Not):
+        e, negate = e.arg, not negate
+    match e:
+        case And() | Or():
+            parts, stack, kind = [], [e], type(e)
+            while stack:
+                x = stack.pop()
+                if isinstance(x, kind):
+                    stack += (x.right, x.left)
+                else:
+                    parts.append(_cond(x, rep, t, const))
+            out = _join(" and " if kind is And else " or ", parts)
+        case PBool(value=value):
+            out = value
+        case RequesterAt(loc=loc):
+            out = _join(" or ", [f"x{p} == {t.loc_pos[loc]}" for p in mine])
+        case HasCred(cred=x) | HasRole(role=x):
+            base = n if isinstance(e, HasCred) else 2 * n
+            out = _join(" or ", [f"{const(x)} in v[{base + p}]" for p in mine])
+        case IsIn(loc=loc, value=value):
+            out = f"v[{3 * n + t.loc_pos[loc]}] == {const(value)}"
+        case CountAtLeast(loc=loc, count=count):
+            out = count <= n and f"w.count({t.loc_pos[loc]}) >= {count}"
+        case AllAtAuthorized(loc=loc, allowed=ok):
+            k = t.loc_pos[loc]
+            out = _join(" and ", [f"x{p} != {k}" for p, i in enumerate(t.ids) if i not in ok])
+        case _:  # an atom of predicates only: call its closure
+            out = f"{const(vector_condition(e, t))}(v, {const(rep)})"
+    return (not out if type(out) is bool else f"(not {out})") if negate else out
+
+
+def source(t: Tables) -> tuple:
+    """The text of ``make(G, N, C)``, which returns ``t``'s next-state
+    function; the constants ``C``; and ``N``, which interns the label of a
+    key that ``t.labels`` (whose ``get`` is ``G``) lacks."""
+    n, reps, labels, ids, locs = t.n, t.reps, t.labels, t.ids, t.locs
+    classes, constants, names = dict.fromkeys(reps), [], {}
+
+    def const(obj) -> str:
+        """The name ``obj`` has in the source; equal strings share one."""
+        key = obj if type(obj) is str else len(constants)
+        if key not in names:
+            names[key] = f"c{len(constants)}"
+            constants.append(obj)
+        return names[key]
+
+    def new(key: tuple):
+        return labels.setdefault(key, _label(ids, locs, *key))
+
+    def guard(action: str, k: int, rep: str):
+        """The judgment of ``action`` at location ``k`` for the class ``rep``."""
+        holds = _join(" or ", [_cond(c, rep, t, const) for c, _ in t.policies.get((k, action), ())])
+        if holds is not False and t.outside.get((k, action), {}).get(rep):
+            own = " + ".join(f"(x{p} == {k})" for p in t.at[rep])  # nobody else at k
+            holds = _join(" and ", [f"w.count({k}) == {own}", holds])
+        return holds
+
+    xs = "".join(f"x{p}, " for p in range(n))
+    body = ["out = []", "a = out.append", f"w = v[:{n}]", f"({xs}) = w"]
+    guards: dict = {}  # (action, k, rep) -> True or a local; absent when False
+    for action, ks in (("move", t.targets), ("put", t.writable)):
+        for rep in classes:
+            for k in ks:
+                g = guard(action, k, rep)
+                if type(g) is str:
+                    body.append(f"g{len(guards)} = {g}")
+                    g = f"g{len(guards)}"
+                if g is not False:
+                    guards[action, k, rep] = g
+
+    for p, rep in enumerate(reps):
+        moves = [(k, guards["move", k, rep]) for k in t.targets if ("move", k, rep) in guards]
+        if moves:
+            body += [f"if x{p} in {set(t.targets)}:", f" b = v[:{p}]", f" e = v[{p + 1}:]"]
+        for k, g in moves:
+            line = f'a((G(q := ("move", {p}, x{p}, {k})) or N(q), b + ({k},) + e))'
+            body.append(f" {line}" if g is True else f" if {g}: {line}")
+
+    for p, rep in enumerate(reps):
+        where = [_join(" and ", [f"x{p} == {k}", guard("get", k, rep)]) for k in range(len(locs))]
+        holds = _join(" or ", where)
+        if holds is False:
+            continue
+        held = [f"v[{n + m}]" for m in t.at[rep]]
+        body += [
+            f"if {holds}:",
+            f" k = x{p}",
+            f" cs = sorted({held[0]}.union({', '.join(held[1:])}))",
+            f" for r in range({n}):",
+            "  if w[r] == k:",
+            f"   h = v[{n} + r]",
+            "   for c in cs:",
+            f'    a((G(q := ("get", r, {p}, k, c)) or N(q), '
+            f"v if c in h else v[:{n} + r] + (h | {{c}},) + v[{n + 1} + r:]))",
+        ]
+
+    for k in t.writable:  # s{k}: the successors writing each value at k
+        holds = _join(" or ", [guards.get(("put", k, rep), False) for rep in classes])
+        if holds is not False:
+            values = "".join(f"b + ({const(x)},) + e, " for x in t.alphabet[k])
+            lines = [f"b = v[:{3 * n + k}]", f"e = v[{3 * n + k + 1}:]", f"s{k} = ({values})"]
+            body += lines if holds is True else [f"if {holds}:", *(" " + x for x in lines)]
+    for rule in ("put", "put_remote"):
+        for p, rep in enumerate(reps):
+            puts = [(k, guards["put", k, rep]) for k in t.writable if ("put", k, rep) in guards]
+            for i, (k, g) in enumerate(puts):
+                keys = [(rule, p, k, x) for x in t.alphabet[k]]
+                line = f"out += zip({const(tuple(labels.get(q) or new(q) for q in keys))}, s{k})"
+                test = g if rule == "put_remote" else _join(" and ", [f"x{p} == {k}", g])
+                el = "el" if i and rule == "put" else ""
+                body.append(line if test is True else f"{el}if {test}: {line}")
+
+    names = "".join(f"c{i}, " for i in range(len(constants)))
+    body = [f" ({names}) = C", " def successors(v):", *(f"  {x}" for x in body), "  return out"]
+    return "\n".join(["def make(G, N, C):", *body, " return successors"]), constants, new
+
+
+def build(t: Tables):
+    """``t``'s next-state function, or ``None`` when its source does not
+    compile (a condition nested deeper than Python's parser takes)."""
+    try:
+        text, constants, new = source(t)
+        code = _CODE.pop(text, None) or compile(text, "<nextstate>", "exec")
+    except (SyntaxError, RecursionError, MemoryError):
+        return None
+    _CODE[text] = code
+    if len(_CODE) > _KEEP:
+        del _CODE[next(iter(_CODE))]
+    namespace: dict = {}
+    exec(code, namespace)
+    # Popped, so that make and the globals it runs in form no cycle.
+    return namespace.pop("make")(t.labels.get, new, constants)

@@ -21,7 +21,8 @@ flat tuple of location indices, credential and role sets and values (see
 :class:`~insiderctl.model.Tables`) that hashes and compares in C.  A rule
 instance changes one slot of it, so :func:`successors` derives each
 successor's vector by replacing that slot and reuses one interned label per
-rule instance of the model.
+rule instance of the model.  After ``THRESHOLD`` states of a model it runs
+the model's generated next-state function (:mod:`insiderctl.nextstate`).
 
 The ``eval`` action exists in the action vocabulary but has no transition
 rule; policies granting only ``eval`` are flagged by :func:`lint_model`.
@@ -32,6 +33,8 @@ from __future__ import annotations
 from .model import _EMPTY, InfraGraph, Location, Model, Tables, by_id, tables
 from .model import enables  # noqa: F401  (bench/layers.py times calls to transition.enables)
 from .record import record
+
+THRESHOLD = 64  # states of a model expanded with closures before it gets its own function
 
 
 @record(frozen=True)
@@ -72,13 +75,13 @@ def move_graph(identity: str, src: Location, dst: Location, graph: InfraGraph) -
     return InfraGraph(graph.edges, placements, graph.credentials, graph.roles, graph.loc_value)
 
 
-def _label(t: Tables, rule: str, p: int, a: int, b, cred: str | None = None) -> TransitionLabel:
+def _label(ids: tuple, locs: tuple, rule: str, p: int, a: int, b, cred=None) -> TransitionLabel:
     """The label that an interning key of :func:`successors` stands for."""
     if rule == "move":
-        return TransitionLabel(rule, t.ids[p], src=t.locs[a], dst=t.locs[b])
+        return TransitionLabel(rule, ids[p], src=locs[a], dst=locs[b])
     if rule == "get":
-        return TransitionLabel(rule, t.ids[p], giver=t.ids[a], loc=t.locs[b], credential=cred)
-    return TransitionLabel(rule, t.ids[p], loc=t.locs[a], value=b)
+        return TransitionLabel(rule, ids[p], giver=ids[a], loc=locs[b], credential=cred)
+    return TransitionLabel(rule, ids[p], loc=locs[a], value=b)
 
 
 def successors(model: Model, v: tuple) -> list:
@@ -88,13 +91,25 @@ def successors(model: Model, v: tuple) -> list:
     current location, a credential already held, the current value) leads
     to an equal vector.  Labels are interned in ``tables(model).labels``."""
     t = tables(model)
+    if t.step is not None:
+        return t.step(v)
+    t.expanded += 1
+    if t.expanded == THRESHOLD:
+        from .nextstate import build  # a small exploration never loads it
+
+        t.step = build(t)
+    return _successors(t, v)
+
+
+def _successors(t: Tables, v: tuple) -> list:
+    """:func:`successors` with the guards compiled into closures."""
     n, reps, labels, targets = t.n, t.reps, t.labels, t.targets
     moving, getting, putting = t.grant["move"], t.grant["get"], t.grant["put"]
     out: list = []
     append = out.append
 
     def label_of(key: tuple) -> TransitionLabel:
-        label = labels[key] = _label(t, *key)
+        label = labels[key] = _label(t.ids, t.locs, *key)
         return label
 
     # The location indices where each class may move and put, worked out

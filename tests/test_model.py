@@ -68,7 +68,7 @@ class TestResolver:
         r = build_resolver([InsiderDecl("Eve", frozenset({"Charly"}), EVE_STATE)], self.IDS)
         assert r.actor_of("Eve") == r.actor_of("Charly")
         assert r.actor_of("Bob") != r.actor_of("Alice")
-        assert r.members(r.actor_of("Eve")) == frozenset({"Eve", "Charly"})
+        assert r.classes == (frozenset({"Eve", "Charly"}),)
 
     def test_inactive_insider_stays_singleton(self):
         calm = ActorPsyState("happy", frozenset({"revenge"}))
@@ -94,7 +94,7 @@ class TestResolver:
         copy = dataclasses.replace(r)
         assert copy == r and copy.classes == r.classes
         assert copy.actor_of("Eve") == r.actor_of("Eve") == "Charly"
-        assert copy.members("Charly") == frozenset({"Charly", "Eve"})
+        assert copy.classes == (frozenset({"Charly", "Eve"}),)
 
     def test_unknown_alter_ego_rejected(self):
         with pytest.raises(ModelError):
@@ -125,7 +125,7 @@ class TestResolver:
         # class-consistency: same class iff same representative
         for x, y in itertools.product(ids, ids):
             same = r.actor_of(x) == r.actor_of(y)
-            assert same == (x in r.members(r.actor_of(y)))
+            assert same == (x in next((c for c in r.classes if y in c), {y}))
         # idempotence via representatives
         for x in ids:
             rep = r.actor_of(x)
