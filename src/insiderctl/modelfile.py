@@ -1,11 +1,10 @@
 """Line-oriented model document format.
 
 A document is a sequence of sections.  A section starts with a non-indented
-header line (``locations``, ``edges``, ``identities``, ``sets``,
-``credentials``, ``roles``, ``placements``, ``values``, ``alphabets``,
-``policies <name>``, ``default_policies <name>``, ``insiders``,
-``predicates``, ``assumptions``); its entries follow on indented lines.
-Blank lines and ``#`` comments are ignored.  Entry shapes::
+header line, the section's name and, for ``policies`` and
+``default_policies``, a variant name; its entries follow on indented lines.
+Blank lines and ``#`` comments are ignored.  Sections, in canonical order,
+and their entry shapes::
 
     locations        NAME ID
     edges            SRC -> DST
@@ -17,6 +16,7 @@ Blank lines and ``#`` comments are ignored.  Entry shapes::
     values           LOC = TOKEN
     alphabets        LOC: TOKEN...
     policies NAME    at LOC allow ACTION[,ACTION...] if CONDITION
+    default_policies NAME
     insiders         ID impersonates ID... psy PSY [motives M...]
     predicates       NAME[(PARAM)] := EXPR
     assumptions      foe LOC ACTION ID
@@ -33,14 +33,15 @@ which CTL formulas share as well (see :class:`insiderctl.model.Parser`).
 In both, the bound N of ``count_at_least`` is a positive whole number in
 ASCII digits; a location ID is a whole number in ASCII digits.
 
-``serialize_model`` emits a canonical rendering (fixed section order,
-sorted entries) and ``parse_model(serialize_model(m))`` is structurally
+``serialize_model`` emits a canonical rendering (sections in canonical
+order, sorted entries) and ``parse_model(serialize_model(m))`` is structurally
 equal to ``m``.  Validation failures are collected and reported together
 with their line numbers.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from .model import (
     ACTIONS,
@@ -68,26 +69,31 @@ from .model import (
     PredExpr,
     RequesterAt,
     StatePredicate,
+    by_id,
     expr_text,
 )
 from .record import record
 
-SECTIONS = (
-    "locations",
-    "edges",
-    "identities",
-    "sets",
-    "credentials",
-    "roles",
-    "placements",
-    "values",
-    "alphabets",
-    "policies",
-    "default_policies",
-    "insiders",
-    "predicates",
-    "assumptions",
-)
+# Each section and the entry shape its diagnostics quote, in canonical
+# order.  A default_policies header takes no entries: its argument names
+# the active variant.
+SHAPES = {
+    "locations": "NAME ID",
+    "edges": "SRC -> DST",
+    "identities": "NAME...",
+    "sets": "NAME = ID...",
+    "credentials": "ID: TOKEN...",
+    "roles": "ID: TOKEN...",
+    "placements": "LOC: ID...",
+    "values": "LOC = TOKEN",
+    "alphabets": "LOC: TOKEN...",
+    "policies": "at LOC allow ACTIONS if CONDITION",
+    "default_policies": "",
+    "insiders": "ID impersonates ID... psy PSY [motives M...]",
+    "predicates": "NAME[(PARAM)] := EXPR",
+    "assumptions": "foe LOC ACTION ID",
+}
+SECTIONS = tuple(SHAPES)
 
 
 @record(frozen=True)
@@ -263,295 +269,289 @@ def predicate_text(expr: PredExpr) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-
-@record
-class _Entry:
-    line: int
-    text: str
+_PREDICATE = re.compile(r"(\w+)\s*(?:\((\w+)\))?\s*:=\s*(.*)")
 
 
-def _split_sections(text: str, errors: list[Diagnostic]):
-    sections: list[tuple[str, str | None, int, list[_Entry]]] = []
-    current: list[_Entry] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        indented = raw[0] in (" ", "\t")
-        if not indented:
-            parts = stripped.split()
-            keyword, arg = parts[0], (parts[1] if len(parts) > 1 else None)
-            if keyword not in SECTIONS:
-                errors.append(Diagnostic(lineno, f"unknown section {keyword!r}"))
-                current = None
+@functools.cache
+def _pattern(shape: str) -> re.Pattern:
+    """A shape as a pattern of whitespace-separated words: ``CONDITION``
+    takes the rest of the line, another upper-case word stands for any
+    word, and a lower-case word (``->``, ``=``, ``foe``) for itself."""
+    return re.compile(r"\s+".join(
+        "(.*)" if w == "CONDITION" else r"(\S+)" if w.isupper() else re.escape(w)
+        for w in shape.split()
+    ))
+
+
+class _Reader:
+    """What a document has declared so far, and one ``read_<section>``
+    method per section that adds a section's entries to it.  An entry is a
+    ``(line, text)`` pair; a diagnostic that quotes a shape quotes the one
+    ``SHAPES`` gives the section being read."""
+
+    def __init__(self) -> None:
+        self.errors: list[Diagnostic] = []
+        self.shape, self.variant = "", None
+        # Name -> Location, set name -> members, identity names, edge pairs.
+        self.locations, self.identity_sets, self.identities, self.edges = {}, {}, set(), set()
+        # The initial snapshot: identity -> tokens, location -> identities or value.
+        self.credentials, self.roles, self.placements, self.values = {}, {}, {}, {}
+        # Location -> alphabet, variant -> location -> policies, name -> predicate.
+        self.value_alphabet, self.policy_variants, self.named_predicates = {}, {}, {}
+        self.insiders, self.assumptions = [], []
+
+    def fail(self, line: int, message: str) -> None:
+        self.errors.append(Diagnostic(line, message))
+
+    def expected(self, line: int, text: str) -> None:
+        self.fail(line, f"expected '{self.shape}', found {text!r}")
+
+    def words(self, line: int, text: str) -> tuple[str, ...] | None:
+        """The words of ``text`` that stand for the shape's upper-case
+        words, if ``text`` has the shape; see :func:`_pattern`."""
+        m = _pattern(self.shape).fullmatch(text)
+        return m.groups() if m else self.expected(line, text)
+
+    def split(self, line: int, text: str) -> tuple[str, list[str]] | None:
+        """The text before the shape's ``:`` or ``=`` and the words after it."""
+        key, mark, rest = text.partition(":" if ":" in self.shape else "=")
+        return (key.strip(), rest.split()) if mark else self.expected(line, text)
+
+    def loc(self, line: int, name: str) -> Location | None:
+        loc = self.locations.get(name)
+        return loc if loc else self.fail(line, f"unknown location {name!r}")
+
+    def ident(self, line: int, name: str) -> str | None:
+        return name if name in self.identities else self.fail(line, f"unknown identity {name!r}")
+
+    def keyed(self, entries, known):
+        """``(key, tokens)`` for each ``KEY: TOKEN...`` entry whose key
+        ``known`` accepts."""
+        for line, text in entries:
+            parts = self.split(line, text)
+            if parts and (key := known(line, parts[0])):
+                yield key, parts[1]
+
+    def read(self, text: str) -> Model:
+        """Locations and identities first, since the other sections name
+        them; then the other sections in document order."""
+        sections, entries = [], None
+        for line, raw in enumerate(text.splitlines(), start=1):
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
                 continue
-            if len(parts) > 2:
-                errors.append(Diagnostic(lineno, f"section header {keyword!r} takes at most one argument"))
-            current = []
-            sections.append((keyword, arg, lineno, current))
+            if raw[0] in " \t":
+                if entries is None:
+                    self.fail(line, "entry outside of any section")
+                else:
+                    entries.append((line, stripped))
+                continue
+            name, *args = stripped.split()
+            entries = None
+            if name not in SHAPES:
+                self.fail(line, f"unknown section {name!r}")
+                continue
+            if len(args) > 1:
+                self.fail(line, f"section header {name!r} takes at most one argument")
+            entries = []
+            sections.append((name, args[0] if args else None, line, entries))
+        sections.sort(key=lambda s: s[0] not in ("locations", "identities"))
+        for name, arg, line, entries in sections:
+            self.shape = SHAPES[name]
+            getattr(self, f"read_{name}")(arg, line, entries)
+        return self.model()
+
+    def read_locations(self, arg, header, entries) -> None:
+        for line, text in entries:
+            words = self.words(line, text)
+            if words and not (words[1].isascii() and words[1].isdigit()):
+                words = self.expected(line, text)
+            if words:
+                name, lid = words[0], int(words[1])
+                if name in self.locations or any(l.id == lid for l in self.locations.values()):
+                    self.fail(line, f"duplicate location {name!r} / id {lid}")
+                else:
+                    self.locations[name] = Location(lid, name)
+
+    def read_edges(self, arg, header, entries) -> None:
+        for line, text in entries:
+            if words := self.words(line, text):
+                a, b = self.loc(line, words[0]), self.loc(line, words[1])
+                if a and b:
+                    self.edges.add((a, b))
+
+    def read_identities(self, arg, header, entries) -> None:
+        for line, text in entries:
+            for name in text.split():
+                if name in self.identities:
+                    self.fail(line, f"duplicate identity {name!r}")
+                self.identities.add(name)
+
+    def read_sets(self, arg, header, entries) -> None:
+        for line, text in entries:
+            if parts := self.split(line, text):
+                members = [self.ident(line, i) for i in parts[1]]
+                if None not in members:
+                    self.identity_sets[parts[0]] = frozenset(members)
+
+    def read_credentials(self, arg, header, entries) -> None:
+        for ident, tokens in self.keyed(entries, self.ident):
+            self.credentials.setdefault(ident, set()).update(tokens)
+
+    def read_roles(self, arg, header, entries) -> None:
+        for ident, tokens in self.keyed(entries, self.ident):
+            self.roles.setdefault(ident, set()).update(tokens)
+
+    def read_placements(self, arg, header, entries) -> None:
+        for line, text in entries:
+            parts = self.split(line, text)
+            loc = parts and self.loc(line, parts[0])
+            if not loc:
+                continue
+            if loc in self.placements:
+                self.fail(line, f"duplicate placement entry for {loc}")
+                continue
+            names = parts[1]
+            ok = None not in [self.ident(line, n) for n in names]
+            if len(set(names)) != len(names):
+                ok = self.fail(line, f"identity placed twice at {loc}")
+            placed = {i for ids in self.placements.values() for i in ids} & set(names)
+            if placed:
+                ok = self.fail(line, f"identity {min(placed)!r} is already placed elsewhere")
+            if ok:
+                self.placements[loc] = tuple(names)
+
+    def read_values(self, arg, header, entries) -> None:
+        for line, text in entries:
+            words = self.words(line, text)
+            if loc := words and self.loc(line, words[0]):
+                self.values[loc] = words[1]
+
+    def read_alphabets(self, arg, header, entries) -> None:
+        for loc, tokens in self.keyed(entries, self.loc):
+            self.value_alphabet[loc] = frozenset(tokens)
+
+    def read_policies(self, arg, header, entries) -> None:
+        pmap = self.policy_variants.setdefault(arg or "baseline", {})
+        for line, text in entries:
+            words = self.words(line, text)
+            loc = words and self.loc(line, words[0])
+            if not loc:
+                continue
+            actions = frozenset(words[1].split(","))
+            bad = actions - set(ACTIONS)
+            if bad:
+                self.fail(line, f"unknown action {min(bad)!r}")
+                continue
+            try:
+                cond = parse_condition(
+                    words[2], self.locations, self.identity_sets, self.identities
+                )
+            except ValueError as exc:
+                self.fail(line, f"bad condition: {exc}")
+                continue
+            pmap.setdefault(loc, set()).add(AtomicPolicy(cond, actions))
+
+    def read_default_policies(self, arg, header, entries) -> None:
+        if arg is None:
+            self.fail(header, "default_policies needs a variant name")
         else:
-            if current is None:
-                errors.append(Diagnostic(lineno, "entry outside of any section"))
+            self.variant = arg
+
+    def read_insiders(self, arg, header, entries) -> None:
+        for line, text in entries:
+            words = text.split()
+            try:
+                psy_at = words.index("psy")
+                who, verb, egos = words[0], words[1], words[2:psy_at]
+                psy, motives = words[psy_at + 1], words[psy_at + 2:]
+            except (IndexError, ValueError):
+                verb = None
+            if verb != "impersonates" or motives[:1] not in ([], ["motives"]):
+                self.expected(line, text)
                 continue
-            current.append(_Entry(lineno, stripped))
-    return sections
+            motives = motives[1:]
+            if psy not in PSY_STATES:
+                self.fail(line, f"unknown psy state {psy!r}")
+                continue
+            bad = set(motives) - set(MOTIVATIONS)
+            if bad:
+                self.fail(line, f"unknown motivation {min(bad)!r}")
+                continue
+            if self.ident(line, who) is None or any(self.ident(line, x) is None for x in egos):
+                continue
+            try:
+                state = ActorPsyState(psy, frozenset(motives))
+                self.insiders.append(InsiderDecl(who, frozenset(egos), state))
+            except ModelError as exc:
+                self.fail(line, str(exc))
+
+    def read_predicates(self, arg, header, entries) -> None:
+        for line, text in entries:
+            m = _PREDICATE.fullmatch(text)
+            if not m:
+                self.expected(line, text)
+                continue
+            name, param, body = m.groups()
+            try:
+                expr = parse_predicate_expr(body, self.locations)
+            except ValueError as exc:
+                self.fail(line, f"bad predicate: {exc}")
+                continue
+            if name in self.named_predicates:
+                self.fail(line, f"duplicate predicate {name!r}")
+                continue
+            self.named_predicates[name] = StatePredicate(name, expr, param=param)
+
+    def read_assumptions(self, arg, header, entries) -> None:
+        for line, text in entries:
+            words = self.words(line, text)
+            loc = words and self.loc(line, words[0])
+            if not loc:
+                continue
+            if words[1] not in ACTIONS:
+                self.fail(line, f"unknown action {words[1]!r}")
+            elif self.ident(line, words[2]) is not None:
+                self.assumptions.append(FoeControl(loc, words[1], words[2]))
+
+    def model(self) -> Model:
+        if not self.locations:
+            self.fail(1, "a model needs at least one location")
+        variants = self.policy_variants or {"baseline": {}}
+        if self.variant is None:
+            self.variant = next(iter(variants))
+        elif self.variant not in variants:
+            self.fail(1, f"default_policies names unknown variant {self.variant!r}")
+        if self.errors:
+            raise ModelParseError(self.errors)
+        edges = frozenset(self.edges)
+        try:
+            return Model(
+                locations=tuple(self.locations.values()),
+                edges=edges,
+                identities=frozenset(self.identities),
+                initial=InfraGraph(
+                    edges, self.placements, self.credentials, self.roles, self.values
+                ),
+                policy_variants={
+                    name: {loc: frozenset(pols) for loc, pols in pmap.items()}
+                    for name, pmap in variants.items()
+                },
+                variant=self.variant,
+                value_alphabet=self.value_alphabet,
+                insiders=tuple(self.insiders),
+                identity_sets=self.identity_sets,
+                named_predicates=self.named_predicates,
+                assumptions=tuple(self.assumptions),
+            )
+        except ModelError as exc:
+            raise ModelParseError([Diagnostic(0, str(exc))]) from exc
 
 
 def parse_model(text: str) -> Model:
     """Parse a model document; raises :class:`ModelParseError` carrying all
     positioned diagnostics when the document is invalid."""
-    errors: list[Diagnostic] = []
-    sections = _split_sections(text, errors)
-
-    locations: dict[str, Location] = {}
-    edges = set()
-    identities: set[str] = set()
-    identity_sets: dict[str, frozenset[str]] = {}
-    credentials: dict[str, set[str]] = {}
-    roles: dict[str, set[str]] = {}
-    placements: dict[Location, tuple[str, ...]] = {}
-    values: dict[Location, str] = {}
-    alphabets: dict[Location, frozenset[str]] = {}
-    policy_variants: dict[str, dict] = {}
-    default_variant: str | None = None
-    insiders: list[InsiderDecl] = []
-    predicates: dict[str, StatePredicate] = {}
-    assumptions: list[FoeControl] = []
-
-    def fail(entry: _Entry, message: str) -> None:
-        errors.append(Diagnostic(entry.line, message))
-
-    def known_loc(entry: _Entry, name: str) -> Location | None:
-        loc = locations.get(name)
-        if loc is None:
-            fail(entry, f"unknown location {name!r}")
-        return loc
-
-    def known_ident(entry: _Entry, name: str) -> str | None:
-        if name not in identities:
-            fail(entry, f"unknown identity {name!r}")
-            return None
-        return name
-
-    # Pass 1: declarations that later sections reference.
-    for keyword, arg, lineno, entries in sections:
-        if keyword == "locations":
-            for e in entries:
-                parts = e.text.split()
-                if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
-                    fail(e, f"expected 'NAME ID', found {e.text!r}")
-                    continue
-                name, lid = parts[0], int(parts[1])
-                if name in locations or any(l.id == lid for l in locations.values()):
-                    fail(e, f"duplicate location {name!r} / id {lid}")
-                    continue
-                locations[name] = Location(lid, name)
-        elif keyword == "identities":
-            for e in entries:
-                for name in e.text.split():
-                    if name in identities:
-                        fail(e, f"duplicate identity {name!r}")
-                    identities.add(name)
-
-    for keyword, arg, lineno, entries in sections:
-        if keyword in ("locations", "identities"):
-            continue
-        if keyword == "edges":
-            for e in entries:
-                parts = e.text.split()
-                if len(parts) != 3 or parts[1] != "->":
-                    fail(e, f"expected 'SRC -> DST', found {e.text!r}")
-                    continue
-                a, b = known_loc(e, parts[0]), known_loc(e, parts[2])
-                if a and b:
-                    edges.add((a, b))
-        elif keyword == "sets":
-            for e in entries:
-                if "=" not in e.text:
-                    fail(e, f"expected 'NAME = ID...', found {e.text!r}")
-                    continue
-                name, _, rest = e.text.partition("=")
-                members = [known_ident(e, i) for i in rest.split()]
-                if None not in members:
-                    identity_sets[name.strip()] = frozenset(members)
-        elif keyword in ("credentials", "roles"):
-            target = credentials if keyword == "credentials" else roles
-            for e in entries:
-                if ":" not in e.text:
-                    fail(e, f"expected 'ID: TOKEN...', found {e.text!r}")
-                    continue
-                ident, _, rest = e.text.partition(":")
-                if known_ident(e, ident.strip()):
-                    target.setdefault(ident.strip(), set()).update(rest.split())
-        elif keyword == "placements":
-            for e in entries:
-                if ":" not in e.text:
-                    fail(e, f"expected 'LOC: ID...', found {e.text!r}")
-                    continue
-                locname, _, rest = e.text.partition(":")
-                loc = known_loc(e, locname.strip())
-                if loc is None:
-                    continue
-                if loc in placements:
-                    fail(e, f"duplicate placement entry for {loc}")
-                    continue
-                names = rest.split()
-                ok = True
-                for n in names:
-                    if known_ident(e, n) is None:
-                        ok = False
-                if len(set(names)) != len(names):
-                    fail(e, f"identity placed twice at {loc}")
-                    ok = False
-                already = {i for ids in placements.values() for i in ids}
-                dup = already & set(names)
-                if dup:
-                    fail(e, f"identity {sorted(dup)[0]!r} is already placed elsewhere")
-                    ok = False
-                if ok:
-                    placements[loc] = tuple(names)
-        elif keyword == "values":
-            for e in entries:
-                parts = e.text.split()
-                if len(parts) != 3 or parts[1] != "=":
-                    fail(e, f"expected 'LOC = TOKEN', found {e.text!r}")
-                    continue
-                loc = known_loc(e, parts[0])
-                if loc:
-                    values[loc] = parts[2]
-        elif keyword == "alphabets":
-            for e in entries:
-                if ":" not in e.text:
-                    fail(e, f"expected 'LOC: TOKEN...', found {e.text!r}")
-                    continue
-                locname, _, rest = e.text.partition(":")
-                loc = known_loc(e, locname.strip())
-                if loc:
-                    alphabets[loc] = frozenset(rest.split())
-        elif keyword == "policies":
-            name = arg or "baseline"
-            pmap = policy_variants.setdefault(name, {})
-            for e in entries:
-                m = re.fullmatch(r"at\s+(\S+)\s+allow\s+(\S+)\s+if\s+(.*)", e.text)
-                if not m:
-                    fail(e, f"expected 'at LOC allow ACTIONS if CONDITION', found {e.text!r}")
-                    continue
-                loc = known_loc(e, m.group(1))
-                if loc is None:
-                    continue
-                actions = frozenset(m.group(2).split(","))
-                bad = actions - set(ACTIONS)
-                if bad:
-                    fail(e, f"unknown action {sorted(bad)[0]!r}")
-                    continue
-                try:
-                    cond = parse_condition(m.group(3), locations, identity_sets, identities)
-                except ValueError as exc:
-                    fail(e, f"bad condition: {exc}")
-                    continue
-                pmap.setdefault(loc, set()).add(AtomicPolicy(cond, actions))
-        elif keyword == "default_policies":
-            if arg is None:
-                errors.append(Diagnostic(lineno, "default_policies needs a variant name"))
-            else:
-                default_variant = arg
-        elif keyword == "insiders":
-            for e in entries:
-                tokens = e.text.split()
-                try:
-                    who = tokens[0]
-                    if tokens[1] != "impersonates":
-                        raise ValueError
-                    psy_at = tokens.index("psy")
-                    egos = tokens[2:psy_at]
-                    psy = tokens[psy_at + 1]
-                    motives = tokens[psy_at + 2:]
-                    if motives:
-                        if motives[0] != "motives":
-                            raise ValueError
-                        motives = motives[1:]
-                except (IndexError, ValueError):
-                    fail(e, f"expected 'ID impersonates ID... psy PSY [motives M...]', found {e.text!r}")
-                    continue
-                if psy not in PSY_STATES:
-                    fail(e, f"unknown psy state {psy!r}")
-                    continue
-                bad = set(motives) - set(MOTIVATIONS)
-                if bad:
-                    fail(e, f"unknown motivation {sorted(bad)[0]!r}")
-                    continue
-                if known_ident(e, who) is None or any(known_ident(e, x) is None for x in egos):
-                    continue
-                try:
-                    insiders.append(
-                        InsiderDecl(who, frozenset(egos), ActorPsyState(psy, frozenset(motives)))
-                    )
-                except ModelError as exc:
-                    fail(e, str(exc))
-        elif keyword == "predicates":
-            for e in entries:
-                m = re.fullmatch(r"(\w+)\s*(?:\((\w+)\))?\s*:=\s*(.*)", e.text)
-                if not m:
-                    fail(e, f"expected 'NAME[(PARAM)] := EXPR', found {e.text!r}")
-                    continue
-                name, param, body = m.group(1), m.group(2), m.group(3)
-                try:
-                    expr = parse_predicate_expr(body, locations)
-                except ValueError as exc:
-                    fail(e, f"bad predicate: {exc}")
-                    continue
-                if name in predicates:
-                    fail(e, f"duplicate predicate {name!r}")
-                    continue
-                predicates[name] = StatePredicate(name, expr, param=param)
-        elif keyword == "assumptions":
-            for e in entries:
-                parts = e.text.split()
-                if len(parts) != 4 or parts[0] != "foe":
-                    fail(e, f"expected 'foe LOC ACTION ID', found {e.text!r}")
-                    continue
-                loc = known_loc(e, parts[1])
-                if loc is None:
-                    continue
-                if parts[2] not in ACTIONS:
-                    fail(e, f"unknown action {parts[2]!r}")
-                    continue
-                if known_ident(e, parts[3]) is None:
-                    continue
-                assumptions.append(FoeControl(loc, parts[2], parts[3]))
-
-    if not locations:
-        errors.append(Diagnostic(1, "a model needs at least one location"))
-    if not policy_variants:
-        policy_variants["baseline"] = {}
-    if default_variant is None:
-        default_variant = next(iter(policy_variants))
-    elif default_variant not in policy_variants:
-        errors.append(Diagnostic(1, f"default_policies names unknown variant {default_variant!r}"))
-
-    if errors:
-        raise ModelParseError(errors)
-
-    try:
-        initial = InfraGraph(frozenset(edges), placements, credentials, roles, values)
-        return Model(
-            locations=tuple(locations.values()),
-            edges=frozenset(edges),
-            identities=frozenset(identities),
-            initial=initial,
-            policy_variants={
-                name: {loc: frozenset(pols) for loc, pols in pmap.items()}
-                for name, pmap in policy_variants.items()
-            },
-            variant=default_variant,
-            value_alphabet=alphabets,
-            insiders=tuple(insiders),
-            identity_sets=identity_sets,
-            named_predicates=predicates,
-            assumptions=tuple(assumptions),
-        )
-    except ModelError as exc:
-        raise ModelParseError([Diagnostic(0, str(exc))]) from exc
+    return _Reader().read(text)
 
 
 # ---------------------------------------------------------------------------
@@ -559,98 +559,47 @@ def parse_model(text: str) -> Model:
 
 
 def serialize_model(model: Model) -> str:
-    """Canonical document rendering: fixed section order, sorted entries."""
-    out: list[str] = []
-
-    def section(header: str, entries) -> None:
-        entries = list(entries)
-        if not entries and header.split()[0] != "policies":
-            return
-        out.append(header)
-        out.extend(f"  {e}" for e in entries)
-        out.append("")
-
-    locs = list(model.locations)
-    section("locations", (f"{l.name} {l.id}" for l in locs))
-    section(
-        "edges",
-        (f"{a.name} -> {b.name}" for a, b in sorted(model.edges, key=lambda e: (e[0].id, e[1].id))),
-    )
-    section("identities", sorted(model.identities))
-    section(
-        "sets",
-        (
-            f"{name} = {' '.join(sorted(members))}"
-            for name, members in sorted(model.identity_sets.items())
-        ),
-    )
-    graph = model.initial
-    section(
-        "credentials",
-        (
-            f"{ident}: {' '.join(sorted(graph.credentials[ident]))}"
-            for ident in sorted(graph.credentials)
-        ),
-    )
-    section(
-        "roles",
-        (f"{ident}: {' '.join(sorted(graph.roles[ident]))}" for ident in sorted(graph.roles)),
-    )
-    section(
-        "placements",
-        (
-            f"{loc.name}: {' '.join(graph.placements[loc])}"
-            for loc in sorted(graph.placements, key=lambda l: l.id)
-        ),
-    )
-    section(
-        "values",
-        (
-            f"{loc.name} = {graph.loc_value[loc]}"
-            for loc in sorted(graph.loc_value, key=lambda l: l.id)
-        ),
-    )
-    section(
-        "alphabets",
-        (
-            f"{loc.name}: {' '.join(sorted(model.value_alphabet[loc]))}"
-            for loc in sorted(model.value_alphabet, key=lambda l: l.id)
-            if model.value_alphabet[loc]
-        ),
-    )
-    for vname in sorted(model.policy_variants):
-        pmap = model.policy_variants[vname]
-        lines = []
-        for loc in sorted(pmap, key=lambda l: l.id):
-            for pol in sorted(
-                pmap[loc], key=lambda p: (",".join(sorted(p.actions)), condition_text(p.condition))
-            ):
-                lines.append(
-                    f"at {loc.name} allow {','.join(sorted(pol.actions))} if {condition_text(pol.condition)}"
-                )
-        section(f"policies {vname}", lines)
-    out.append(f"default_policies {model.variant}")
-    out.append("")
-    section(
-        "insiders",
-        (
+    """Canonical document rendering: sections in ``SHAPES`` order, entries
+    sorted.  An empty section is left out, unless its header names a
+    policy variant."""
+    graph, alphabet, variants = model.initial, model.value_alphabet, model.policy_variants
+    edges = sorted(model.edges, key=lambda e: (e[0].id, e[1].id))
+    creds, roles, placed = graph.credentials, graph.roles, graph.placements
+    sections = [
+        ("locations", [f"{l.name} {l.id}" for l in model.locations]),
+        ("edges", [f"{a.name} -> {b.name}" for a, b in edges]),
+        ("identities", sorted(model.identities)),
+        ("sets", [f"{n} = {' '.join(sorted(m))}" for n, m in sorted(model.identity_sets.items())]),
+        ("credentials", [f"{i}: {' '.join(sorted(creds[i]))}" for i in sorted(creds)]),
+        ("roles", [f"{i}: {' '.join(sorted(roles[i]))}" for i in sorted(roles)]),
+        ("placements", [f"{l.name}: {' '.join(placed[l])}" for l in by_id(placed)]),
+        ("values", [f"{l.name} = {graph.loc_value[l]}" for l in by_id(graph.loc_value)]),
+        ("alphabets", [f"{l.name}: {' '.join(sorted(alphabet[l]))}" for l in by_id(alphabet)]),
+        *((f"policies {v}", _policy_lines(variants[v])) for v in sorted(variants)),
+        (f"default_policies {model.variant}", []),
+        ("insiders", [
             f"{d.id} impersonates {' '.join(sorted(d.alter_egos))} psy {d.state.psy}"
             + (f" motives {' '.join(sorted(d.state.motivations))}" if d.state.motivations else "")
             for d in sorted(model.insiders, key=lambda d: d.id)
-        ),
-    )
-    section(
-        "predicates",
-        (
+        ]),
+        ("predicates", [
             f"{p.name}{f'({p.param})' if p.param else ''} := {predicate_text(p.body)}"
             for _, p in sorted(model.named_predicates.items())
-        ),
-    )
-    section(
-        "assumptions",
-        (
-            f"foe {fc.location.name} {fc.action} {fc.foe}"
-            for fc in sorted(model.assumptions, key=lambda f: (f.location.id, f.action, f.foe))
-        ),
-    )
+        ]),
+        ("assumptions", [f"foe {f.location.name} {f.action} {f.foe}" for f in model.assumptions]),
+    ]
+    out = []
+    for header, entries in sections:
+        if entries or " " in header:
+            out += [header, *(f"  {e}" for e in entries), ""]
     return "\n".join(out).rstrip("\n") + "\n"
+
+
+def _policy_lines(pmap: dict) -> list[str]:
+    return [
+        f"at {loc.name} allow {actions} if {cond}"
+        for loc in by_id(pmap)
+        for actions, cond in sorted(
+            (",".join(sorted(p.actions)), condition_text(p.condition)) for p in pmap[loc]
+        )
+    ]

@@ -2,8 +2,10 @@ from pathlib import Path
 
 import pytest
 
+from insiderctl import modelfile
 from insiderctl.airplane import build_airplane_model
 from insiderctl.modelfile import (
+    SECTIONS,
     ModelParseError,
     condition_text,
     parse_condition,
@@ -14,6 +16,25 @@ from insiderctl.modelfile import (
 from genmodels import random_model
 
 GOLDEN = Path(__file__).parent / "data" / "airplane.model"
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _first_words(block: str) -> list[str]:
+    return [line.split()[0] for line in block.splitlines() if line.strip()]
+
+
+class TestSectionLists:
+    """The README and the module docstring list every section, in
+    canonical order."""
+
+    def test_readme_block(self):
+        text = README.read_text(encoding="utf-8").split("## Model document format", 1)[1]
+        block = text.split("```\n", 2)[1]
+        assert _first_words(block) == list(SECTIONS)
+
+    def test_docstring_block(self):
+        block = modelfile.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+        assert _first_words(block) == list(SECTIONS)
 
 
 class TestGolden:

@@ -21,7 +21,7 @@ from genmodels import random_model
 from insiderctl import airplane, door, record
 from insiderctl.ctl import check, extract_trace, reachable
 from insiderctl.formula import parse_formula
-from insiderctl.modelfile import ModelParseError, _Entry, parse_model
+from insiderctl.modelfile import ModelParseError, parse_model
 
 MODULES = [
     importlib.import_module(f"insiderctl.{info.name}")
@@ -39,7 +39,7 @@ RECORDS = sorted(
     },
     key=lambda cls: (cls.__module__, cls.__qualname__),
 )
-MUTABLE = {"Model", "KripkeModel", "_Entry"}
+MUTABLE = {"Model", "KripkeModel"}
 GENERATED = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"}
 
 
@@ -118,7 +118,6 @@ def samples():
         airplane.risk_compare(0.1, 0.2, 0.3),
         models[0].resolver.actor_of("Eve"),
         _diagnostics(),
-        _Entry(3, "x"),
     ]
     return gather(roots)
 
@@ -147,8 +146,9 @@ def outcome(make):
 def test_every_record_has_samples(samples):
     # 47 when insiderctl.record replaced dataclasses; ActorClassId went, and
     # PIsIn, PCountAtLeast and TrueCond became aliases of IsIn,
-    # CountAtLeast and PBool.
-    assert len(RECORDS) >= 43
+    # CountAtLeast and PBool; the model document reader's _Entry record
+    # gave way to (line, text) pairs.
+    assert len(RECORDS) >= 42
     assert [cls.__name__ for cls in RECORDS if cls not in samples] == []
 
 
