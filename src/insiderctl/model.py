@@ -653,21 +653,10 @@ class Model:
         return self._clone(assumptions=tuple(assumptions))
 
     def _clone(self, **overrides) -> "Model":
-        kwargs = dict(
-            locations=self.locations,
-            edges=self.edges,
-            identities=self.identities,
-            initial=self.initial,
-            policy_variants=self.policy_variants,
-            variant=self.variant,
-            value_alphabet=self.value_alphabet,
-            insiders=self.insiders,
-            identity_sets=self.identity_sets,
-            named_predicates=self.named_predicates,
-            assumptions=self.assumptions,
-        )
-        kwargs.update(overrides)
-        return Model(**kwargs)
+        """A new model from this one's constructor arguments, with
+        ``overrides`` in place of some."""
+        fields = self.__dataclass_fields__.values()
+        return Model(**{f.name: getattr(self, f.name) for f in fields if f.init} | overrides)
 
 
 # ---------------------------------------------------------------------------

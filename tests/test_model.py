@@ -29,6 +29,7 @@ from insiderctl.airplane import (
     build_airplane_model,
     cabin,
     cockpit,
+    cockpit_foe_control,
     door,
     ex_graph,
 )
@@ -260,6 +261,17 @@ class TestModelValidation:
     def test_needs_a_location(self):
         with pytest.raises(ModelError):
             build_airplane_model("baseline")._clone(locations=())
+
+    def test_clone_passes_every_constructor_argument(self):
+        m = build_airplane_model("four_eyes").with_assumptions([cockpit_foe_control()])
+        fields = [f for f in dataclasses.fields(m) if f.init]
+        # Each argument differs from its default, so a dropped one shows.
+        for f in fields:
+            default = f.default_factory() if callable(f.default_factory) else f.default
+            assert getattr(m, f.name) != default, f.name
+        clone = m._clone()
+        assert [getattr(clone, f.name) for f in fields] == [getattr(m, f.name) for f in fields]
+        assert m._clone(variant="baseline").variant == "baseline"
 
     def test_unknown_variant(self):
         with pytest.raises(ModelError):
