@@ -257,10 +257,7 @@ def run_command(argv) -> int:
         return int(exc.code) if exc.code else OK
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
-    except (ModelError, ModelParseError) as exc:
+    except (CliError, ModelError, ModelParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     except RecursionError:
