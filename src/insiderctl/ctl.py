@@ -11,12 +11,14 @@ vectors, and traces and DOT are rendered from them; ``KripkeModel.graph(i)``
 builds a state's snapshot on request.  State sets are ``frozenset``s of indices.
 
 Labelling runs three primitives, each linear in states and distinct edges,
-over an index each :class:`KripkeModel` builds once (:meth:`~KripkeModel.backward`:
-distinct predecessors and out-degrees; :meth:`~KripkeModel.label`: each
-named predicate's satisfying set): EX b scans the predecessors of b; E[a U b]
-is a backward worklist from b through a; A[a U b] counts, per state, the
-distinct successors not yet in, and a deadlock in a joins at once, since AX
-is vacuously true there.  The other seven operators follow by duality:
+over an index: :meth:`~KripkeModel.backward`, each state's distinct
+predecessors and out-degree, which a :class:`KripkeModel` builds in the pass
+that checks its edges, and :meth:`~KripkeModel.label`, each named
+predicate's satisfying set, built on first use.  EX b scans the
+predecessors of b; E[a U b] is a backward worklist from b through a; A[a U b]
+counts, per state, the distinct successors not yet in, and a deadlock in a
+joins at once, since AX is vacuously true there.  The other seven operators
+follow by duality:
 
     AX f = !EX !f    EF f = E[true U f]    AF f = A[true U f]
     EG f = !AF !f    AG f = !EF !f
@@ -64,10 +66,13 @@ class KripkeModel:
     """Reachable state set (state vectors) with labelled edges and initial
     states.
 
-    Always built by :func:`reachable`; the state list must be exactly the
-    closure of the initial states under the stored edges, which the
-    constructor verifies.  :meth:`graph` builds a state's snapshot, and
-    :meth:`backward` and :meth:`label` the labelling index.
+    Always built by :func:`reachable`, which numbers states in discovery
+    order.  The constructor checks, in the one pass that builds the
+    predecessor index (:meth:`backward`), that every edge targets a state
+    and that every state outside ``init`` has a predecessor with a lower
+    number; so every state is reachable, and the state list is exactly the
+    closure of the initial states.  :meth:`graph` builds a state's snapshot
+    and :meth:`label` a predicate's satisfying set.
     """
 
     model: Model
@@ -85,22 +90,20 @@ class KripkeModel:
             raise ModelError("inconsistent Kripke payload lengths")
         if not self.init or any(i not in range(n) for i in self.init):
             raise ModelError("initial states must be a non-empty subset of the state set")
-        seen = set(self.init)
-        frontier = sorted(self.init)
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for _, j in self.edges[i]:
-                    if j not in range(n):
-                        raise ModelError(f"edge from state {i} targets unknown state {j}")
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        if len(seen) != n:
-            raise ModelError(
-                "state set is not the reachability closure of the initial states"
-            )
+        preds, degree, known = [[] for _ in range(n)], [], range(n)
+        for i, out in enumerate(self.edges):
+            succ = {j for _, j in out}
+            degree.append(len(succ))
+            for j in succ:
+                if j not in known:
+                    raise ModelError(f"edge from state {i} targets unknown state {j}")
+                preds[j].append(i)
+        for j, p in enumerate(preds):
+            if j not in self.init and not (p and p[0] < j):
+                raise ModelError(
+                    f"state {j} is not initial and has no predecessor with a lower number"
+                )
+        self._backward = tuple(map(tuple, preds)), tuple(degree)
 
     def graph(self, i: int) -> InfraGraph:
         """The validated snapshot of state ``i``: for the initial state
@@ -124,15 +127,8 @@ class KripkeModel:
         return [j for _, j in self.edges[i]]
 
     def backward(self) -> tuple[tuple, tuple]:
-        """Each state's distinct predecessors and successor count, built once."""
-        if self._backward is None:
-            preds, degree = [[] for _ in self.states], []
-            for i, out in enumerate(self.edges):
-                succ = {j for _, j in out}
-                degree.append(len(succ))
-                for j in succ:
-                    preds[j].append(i)
-            self._backward = tuple(map(tuple, preds)), tuple(degree)
+        """Each state's distinct predecessors, in ascending order, and its
+        distinct successor count."""
         return self._backward
 
     def label(self, name: str) -> frozenset[int]:
@@ -458,35 +454,39 @@ def shortest_path(
     deterministic tie-breaks (state index, then edge order).  A source
     already in the target set gives a length-0 path."""
     sources = k.init if sources is None else sources
+    return _first_path(_breadth_first(k, sources), sources, targets.__contains__)
+
+
+def _breadth_first(k: KripkeModel, sources):
+    """Yield ``(j, i, label)`` as state ``j`` is first reached, from ``i``,
+    breadth-first from the sorted ``sources`` along ``k``'s edges."""
+    order = sorted(sources)
+    seen = set(order)
+    for i in order:  # the list grows while it is walked
+        for label, j in k.edges[i]:
+            if j not in seen:
+                seen.add(j)
+                order.append(j)
+                yield j, i, label
+
+
+def _first_path(found, sources, goal) -> TracePath | None:
+    """The path to the first source, else the first state ``found``
+    yields, that passes ``goal``, unwound along the recorded parents."""
     for i in sorted(sources):
-        if i in targets:
+        if goal(i):
             return TracePath((i,), ())
     parent: dict[int, tuple[int, TransitionLabel]] = {}
-    seen = set(sources)
-    frontier = sorted(sources)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for label, j in k.edges[i]:
-                if j in seen:
-                    continue
-                seen.add(j)
-                parent[j] = (i, label)
-                if j in targets:
-                    return _unwind(parent, j, sources)
-                nxt.append(j)
-        frontier = nxt
+    for j, i, label in found:
+        parent[j] = (i, label)
+        if goal(j):
+            states, labels = [j], []
+            while j not in sources:
+                j, label = parent[j]
+                states.append(j)
+                labels.append(label)
+            return TracePath(tuple(reversed(states)), tuple(reversed(labels)))
     return None
-
-
-def _unwind(parent: dict, j: int, sources) -> TracePath:
-    """The path to ``j`` along the ``parent`` links, back to a source."""
-    states, labels = [j], []
-    while j not in sources:
-        j, label = parent[j]
-        states.append(j)
-        labels.append(label)
-    return TracePath(tuple(reversed(states)), tuple(reversed(labels)))
 
 
 def shortest_path_via(k: KripkeModel, waypoints) -> TracePath | None:
@@ -549,14 +549,7 @@ def find_witness(model: Model, formula: CtlFormula, *, max_states: int | None = 
         k = reachable(model, max_states=max_states)
         return k, shortest_path(k, eval_ctl(k, formula.arg))
     x = Exploration(model, max_states)
-    if goal(x.states[0], None):
-        return x, TracePath((0,), ())
-    parent: dict = {}
-    for j, i, label in x.discover():
-        parent[j] = (i, label)
-        if goal(x.states[j], None):
-            return x, _unwind(parent, j, (0,))
-    return x, None
+    return x, _first_path(x.discover(), (0,), lambda j: goal(x.states[j], None))
 
 
 def _state_test(t, g):

@@ -126,8 +126,31 @@ class TestReachable:
 
     def test_non_closed_payload_rejected(self, baseline_kripke):
         k = baseline_kripke
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="state 1 is not initial"):
             KripkeModel(k.model, k.states, [[] for _ in k.states], k.init, k.index)
+
+    def test_closed_payload_out_of_discovery_order_rejected(self, baseline_kripke):
+        """Renumbered in reverse, every state is still reachable from the
+        initial one, which is now the last; the numbering rule fails."""
+        k, n = baseline_kripke, len(baseline_kripke.states)
+        edges = [[(label, n - 1 - j) for label, j in out] for out in reversed(k.edges)]
+        index = {v: n - 1 - i for v, i in k.index.items()}
+        with pytest.raises(ModelError, match="no predecessor with a lower number"):
+            KripkeModel(k.model, k.states[::-1], edges, frozenset({n - 1}), index)
+
+    @pytest.mark.parametrize("target", ["n", -1])
+    @pytest.mark.parametrize("unreached", [False, True], ids=["from s0", "from an unreached state"])
+    def test_edge_to_an_unknown_state_rejected(self, baseline_kripke, target, unreached):
+        k = baseline_kripke
+        states, edges = list(k.states), [list(out) for out in k.edges]
+        if unreached:
+            states.append(("unreached",))
+            edges.append([])
+        n = len(states)
+        label = k.edges[0][0][0]
+        edges[-1 if unreached else 0].append((label, n if target == "n" else target))
+        with pytest.raises(ModelError, match="targets unknown state"):
+            KripkeModel(k.model, states, edges, k.init, k.index)
 
 
 class TestFixpoints:

@@ -134,6 +134,16 @@ def test_index_is_built_once(baseline_kripke):
     assert all(len(set(p)) == len(p) for p in preds)
 
 
+def test_index_equals_a_naive_recomputation(random_kripkes):
+    for seed, k in random_kripkes:
+        succ = [{j for _, j in out} for out in k.edges]
+        preds = [set() for _ in k.states]
+        for i, js in enumerate(succ):
+            for j in js:
+                preds[j].add(i)
+        assert k.backward() == (tuple(tuple(sorted(p)) for p in preds), tuple(map(len, succ))), seed
+
+
 # ---------------------------------------------------------------------------
 # The on-the-fly witness
 
