@@ -94,17 +94,10 @@ def _parse_formula_checked(model: Model, text: str):
     return formula
 
 
-def _explore(model: Model, args):
-    try:
-        return reachable(model, max_states=args.max_states)
-    except ExplorationLimitError as exc:
-        raise CliError(str(exc))
-
-
 def _cmd_check(args) -> int:
     model = _load_model(args)
     formula = _parse_formula_checked(model, args.formula)
-    kripke = _explore(model, args)
+    kripke = reachable(model, max_states=args.max_states)
     verdict = check(kripke, formula)
     print(f"states explored: {len(kripke.states)}")
     if verdict.holds:
@@ -122,7 +115,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_reach(args) -> int:
     model = _load_model(args)
-    kripke = _explore(model, args)
+    kripke = reachable(model, max_states=args.max_states)
     print(f"states: {len(kripke.states)}")
     print(f"edges: {sum(len(e) for e in kripke.edges)}")
     if args.dot:
@@ -140,10 +133,7 @@ def _cmd_witness(args) -> int:
     formula = _parse_formula_checked(model, args.formula)
     if not isinstance(formula, EF):
         raise CliError("witness requires a formula of shape 'EF g'")
-    try:
-        explored, path = find_witness(model, formula, max_states=args.max_states)
-    except ExplorationLimitError as exc:
-        raise CliError(str(exc))
+    explored, path = find_witness(model, formula, max_states=args.max_states)
     if path is None:
         print(f"witness {pretty(formula)}: formula does not hold")
         return FAIL
@@ -257,7 +247,7 @@ def run_command(argv) -> int:
         return int(exc.code) if exc.code else OK
     try:
         return args.func(args)
-    except (CliError, ModelError, ModelParseError) as exc:
+    except (CliError, ExplorationLimitError, ModelError, ModelParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     except RecursionError:

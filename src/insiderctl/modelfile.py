@@ -94,6 +94,8 @@ SHAPES = {
     "assumptions": "foe LOC ACTION ID",
 }
 SECTIONS = tuple(SHAPES)
+# The sections whose header takes an argument, a variant name; no other does.
+HEADER_ARGUMENT = frozenset({"policies", "default_policies"})
 
 
 @record(frozen=True)
@@ -351,7 +353,9 @@ class _Reader:
             if name not in SHAPES:
                 self.fail(line, f"unknown section {name!r}")
                 continue
-            if len(args) > 1:
+            if args and name not in HEADER_ARGUMENT:
+                self.fail(line, f"section header {name!r} takes no argument")
+            elif len(args) > 1:
                 self.fail(line, f"section header {name!r} takes at most one argument")
             entries = []
             sections.append((name, args[0] if args else None, line, entries))
@@ -453,6 +457,8 @@ class _Reader:
             pmap.setdefault(loc, set()).add(AtomicPolicy(cond, actions))
 
     def read_default_policies(self, arg, header, entries) -> None:
+        for line, text in entries:
+            self.fail(line, f"default_policies takes no entries, found {text!r}")
         if arg is None:
             self.fail(header, "default_policies needs a variant name")
         else:

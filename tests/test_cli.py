@@ -113,6 +113,22 @@ class TestWitness:
         assert "does not hold" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", MODEL, "AG (EF eve_ok)"],
+        ["reach", MODEL],
+        # The goal is unreachable, so the search runs into the cap.
+        ["witness", MODEL, "EF eve_violates", "--variant", "four_eyes",
+         "--assume", "foe:cockpit:put:Eve"],
+    ],
+    ids=["check", "reach", "witness"],
+)
+def test_running_past_the_state_cap_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-states", "5")
+    assert (code, out, err) == (2, "", "error: state space exceeds the cap of 5 states\n")
+
+
 class TestReach:
     def test_counts(self, capsys):
         code, out, _ = run(capsys, "reach", MODEL, "--variant", "four_eyes")
@@ -185,6 +201,7 @@ class TestLintSurface:
         text = Path(MODEL).read_text().replace(
             "policies baseline\n",
             "policies baseline\n  at cabin allow eval if true\n",
+            1,  # not under "default_policies baseline", which takes no entries
         )
         path = tmp_path / "noisy.model"
         path.write_text(text)

@@ -52,6 +52,8 @@ CASES = [
     ("assumptions: no foe", BASE + "assumptions\n  enemy a put Eve\n"),
     ("assumptions: three words", BASE + "assumptions\n  foe a put\n"),
     ("default_policies: an entry", BASE + "default_policies base\n  base\n"),
+    ("default_policies: an entry under a known variant",
+     BASE + "policies base\ndefault_policies base\n  junk entry\n"),
     # Duplicates.
     ("duplicate location name", "locations\n  a 0\n  a 1\n"),
     ("duplicate location id", "locations\n  a 0\n  b 0\n"),
@@ -82,6 +84,7 @@ CASES = [
     ("insider lists itself", BASE + "insiders\n  Eve impersonates Ann Eve psy stressed\n"),
     # Headers.
     ("header with two arguments", BASE + "policies base extra\n  at a allow move if true\n"),
+    ("header argument on a section that takes none", "locations extra\n  a 0\n"),
     ("entry outside any section", "  a 0\nlocations\n  a 0\n"),
     ("unknown section", BASE + "actors\n  Ann\n"),
     ("entries under an unknown section", BASE + "actors\n  Ann\nedges\n  a -> b\n"),
