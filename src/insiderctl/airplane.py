@@ -28,8 +28,8 @@ from __future__ import annotations
 from .model import (
     ActorPsyState,
     AllAtAuthorized,
+    And,
     AtomicPolicy,
-    CondAnd,
     CountAtLeast,
     HasCred,
     InfraGraph,
@@ -37,11 +37,11 @@ from .model import (
     IsIn,
     Location,
     Model,
+    Not,
+    Or,
     PBool,
     PEnables,
     PInSet,
-    PNot,
-    POr,
     RequesterAt,
     StatePredicate,
     enables,
@@ -97,7 +97,7 @@ def aid_graph() -> InfraGraph:
 
 
 def _cockpit_move_condition():
-    return CondAnd(CondAnd(RequesterAt(cabin), HasCred("PIN")), IsIn(door, "norm"))
+    return And(And(RequesterAt(cabin), HasCred("PIN")), IsIn(door, "norm"))
 
 
 def _baseline_policies() -> dict:
@@ -119,11 +119,11 @@ def _baseline_policies() -> dict:
 
 
 def _four_eyes_policies() -> dict:
-    two_person_put = CondAnd(
-        CondAnd(RequesterAt(cockpit), CountAtLeast(cockpit, 2)),
+    two_person_put = And(
+        And(RequesterAt(cockpit), CountAtLeast(cockpit, 2)),
         AllAtAuthorized(cockpit, AIRPLANE_ACTORS),
     )
-    leave_with_three = CondAnd(RequesterAt(cockpit), CountAtLeast(cockpit, 3))
+    leave_with_three = And(RequesterAt(cockpit), CountAtLeast(cockpit, 3))
     return {
         cockpit: frozenset(
             {
@@ -138,16 +138,16 @@ def _four_eyes_policies() -> dict:
 
 def _named_predicates() -> dict:
     # global_ok(a): a is either an airplane actor or cannot put at the cockpit
-    global_ok_body = POr(
-        PInSet("a", "airplane_actors"), PNot(PEnables(cockpit, "a", "put"))
+    global_ok_body = Or(
+        PInSet("a", "airplane_actors"), Not(PEnables(cockpit, "a", "put"))
     )
-    eve_ok_body = POr(
-        PInSet("Eve", "airplane_actors"), PNot(PEnables(cockpit, "Eve", "put"))
+    eve_ok_body = Or(
+        PInSet("Eve", "airplane_actors"), Not(PEnables(cockpit, "Eve", "put"))
     )
     return {
         "global_ok": StatePredicate("global_ok", global_ok_body, param="a"),
         "eve_ok": StatePredicate("eve_ok", eve_ok_body),
-        "eve_violates": StatePredicate("eve_violates", PNot(eve_ok_body)),
+        "eve_violates": StatePredicate("eve_violates", Not(eve_ok_body)),
     }
 
 
