@@ -22,8 +22,8 @@ import sys
 
 from .ctl import (
     AG,
-    EF,
     ExplorationLimitError,
+    TraceError,
     check,
     dot_export,
     extract_trace,
@@ -33,7 +33,7 @@ from .ctl import (
     reachable,
 )
 from .formula import FormulaParseError, parse_formula, pretty
-from .model import ACTIONS, FoeControl, Model, ModelError
+from .model import FoeControl, Model, ModelError, tables
 from .modelfile import ModelParseError, parse_model, serialize_model
 from .transition import lint_model
 
@@ -53,11 +53,6 @@ def _load_model(args) -> Model:
     except ModelParseError as exc:
         raise CliError("model file is invalid:\n" + "\n".join(f"  {d}" for d in exc.diagnostics))
     if getattr(args, "variant", None) is not None:
-        if args.variant not in model.policy_variants:
-            raise CliError(
-                f"model has no policy variant {args.variant!r}; "
-                f"available: {', '.join(sorted(model.policy_variants))}"
-            )
         model = model.with_variant(args.variant)
     extra = []
     for spec in getattr(args, "assume", None) or []:
@@ -68,10 +63,6 @@ def _load_model(args) -> Model:
         loc = next((l for l in model.locations if l.name == locname), None)
         if loc is None:
             raise CliError(f"assumption names unknown location {locname!r}")
-        if action not in ACTIONS:
-            raise CliError(f"assumption names unknown action {action!r}")
-        if foe not in model.identities:
-            raise CliError(f"assumption names unknown identity {foe!r}")
         extra.append(FoeControl(loc, action, foe))
     if extra:
         model = model.with_assumptions(model.assumptions + tuple(extra))
@@ -86,11 +77,7 @@ def _parse_formula_checked(model: Model, text: str):
     except FormulaParseError as exc:
         raise CliError(f"bad formula: {exc}")
     for name in sorted(formula_predicates(formula)):
-        pred = model.named_predicates.get(name)
-        if pred is None:
-            raise CliError(f"formula references unknown predicate {name!r}")
-        if pred.param is not None:
-            raise CliError(f"predicate {name!r} is parameterised and cannot be used directly")
+        tables(model).predicate(name)  # rejects the name before exploring
     return formula
 
 
@@ -131,8 +118,6 @@ def _cmd_reach(args) -> int:
 def _cmd_witness(args) -> int:
     model = _load_model(args)
     formula = _parse_formula_checked(model, args.formula)
-    if not isinstance(formula, EF):
-        raise CliError("witness requires a formula of shape 'EF g'")
     explored, path = find_witness(model, formula, max_states=args.max_states)
     if path is None:
         print(f"witness {pretty(formula)}: formula does not hold")
@@ -247,7 +232,7 @@ def run_command(argv) -> int:
         return int(exc.code) if exc.code else OK
     try:
         return args.func(args)
-    except (CliError, ExplorationLimitError, ModelError, ModelParseError) as exc:
+    except (CliError, ExplorationLimitError, ModelError, ModelParseError, TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     except RecursionError:

@@ -9,6 +9,8 @@ each successor's vector from the source's and the rule's one-slot delta, and
 no snapshot (:class:`InfraGraph`) is built.  Predicates run compiled over the
 vectors, and traces and DOT are rendered from them; ``KripkeModel.graph(i)``
 builds a state's snapshot on request.  State sets are ``frozenset``s of indices.
+:func:`find_witness` compiles a propositional goal with
+:func:`~insiderctl.model.vector_condition`, and stops at the first state in it.
 
 Labelling runs three primitives, each linear in states and distinct edges,
 over an index: :meth:`~KripkeModel.backward`, each state's distinct
@@ -36,7 +38,8 @@ over the labelled edges by :func:`lfp_iterate`/:func:`gfp_iterate`: EX/AX f =
 
 from __future__ import annotations
 
-from .model import And, InfraGraph, Model, ModelError, Not, Or, encode, tables
+from .model import And, InfraGraph, Model, ModelError, Not, Or, Pred, encode, leaves, tables
+from .model import vector_condition
 from .model import eval_predicate  # noqa: F401  (bench/layers.py times calls to ctl.eval_predicate)
 from .record import field, record
 from .transition import TransitionLabel, successors
@@ -187,22 +190,9 @@ def reachable(model: Model, *, max_states: int | None = None) -> KripkeModel:
 # Fixpoint iteration
 
 
-def _spot_check_monotone(transformer, universe: frozenset[int], seed: int) -> None:
-    import random  # debug mode only; a plain check does not load it
-
-    rng, items = random.Random(seed), sorted(universe)
-    for _ in range(min(32, 4 * len(items) + 4)):
-        p = frozenset(x for x in items if rng.random() < 0.5)
-        q = p | frozenset(x for x in items if rng.random() < 0.5)
-        if not transformer(p) <= transformer(q):
-            raise MonotonicityError("transformer failed a monotonicity spot-check")
-
-
-def lfp_iterate(transformer, universe: frozenset[int], *, debug: bool = False) -> frozenset[int]:
+def lfp_iterate(transformer, universe: frozenset[int]) -> frozenset[int]:
     """Iterate a monotone transformer from the empty set to its least
     fixpoint; converges within ``|universe| + 1`` applications."""
-    if debug:
-        _spot_check_monotone(transformer, universe, 0)
     current: frozenset[int] = frozenset()
     for _ in range(len(universe) + 1):
         nxt = transformer(current)
@@ -216,10 +206,8 @@ def lfp_iterate(transformer, universe: frozenset[int], *, debug: bool = False) -
     )
 
 
-def gfp_iterate(transformer, universe: frozenset[int], *, debug: bool = False) -> frozenset[int]:
+def gfp_iterate(transformer, universe: frozenset[int]) -> frozenset[int]:
     """Dual of :func:`lfp_iterate`: iterate downward from the universe."""
-    if debug:
-        _spot_check_monotone(transformer, universe, 1)
     current = universe
     for _ in range(len(universe) + 1):
         nxt = transformer(current)
@@ -243,12 +231,8 @@ class CtlFormula:
     __slots__ = ()
 
 
-@record(frozen=True)
-class Pred(CtlFormula):
-    name: str
-
-
-# The connectives are model.Not/And/Or, which conditions and predicates share.
+# The atom Pred and the connectives Not/And/Or are model's, which conditions
+# and predicates share.
 
 
 @record(frozen=True)
@@ -398,7 +382,7 @@ def _au(k: KripkeModel, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
 
 def _check_reference(k, formula, quant, kind, a, b, result) -> None:
     """Debug mode: ``result`` must equal the fixpoint of ``formula``'s set transformer
-    over the labelled edges (monotone by construction: no random spot-check)."""
+    over the labelled edges (monotone by construction)."""
 
     def step(z, test=any if quant == "E" else all):  # EX z or AX z
         return frozenset(i for i, out in enumerate(k.edges) if test(j in z for _, j in out))
@@ -540,32 +524,17 @@ def extract_trace(k: KripkeModel, formula: CtlFormula, mode: str) -> TracePath:
 def find_witness(model: Model, formula: CtlFormula, *, max_states: int | None = None) -> tuple:
     """``(k, path)``: ``extract_trace``'s witness of ``EF g`` (None if it
     fails) and the states it indexes.  For ``g`` of predicates, ``!``, ``&``
-    and ``|``, the search stops at the first goal state, and ``k`` is that
+    and ``|``, compiled by :func:`~insiderctl.model.vector_condition`, the
+    search stops at the first goal state, and ``k`` is that
     :class:`Exploration`; otherwise ``k`` is ``reachable(model)``."""
     if not isinstance(formula, EF):
         raise TraceError("witness extraction requires a formula of shape EF g")
-    goal = _state_test(tables(model), formula.arg)
-    if goal is None:
+    if not all(isinstance(atom, Pred) for atom in leaves(formula.arg)):
         k = reachable(model, max_states=max_states)
         return k, shortest_path(k, eval_ctl(k, formula.arg))
+    goal = vector_condition(formula.arg, tables(model))
     x = Exploration(model, max_states)
     return x, _first_path(x.discover(), (0,), lambda j: goal(x.states[j], None))
-
-
-def _state_test(t, g):
-    """A propositional ``g`` compiled over state vectors, else None."""
-    match g:
-        case Pred(name=name):
-            return t.predicate(name)
-        case Not(arg=x):
-            p = _state_test(t, x)
-            return p and (lambda v, rep: not p(v, rep))
-        case And(left=x, right=y) | Or(left=x, right=y):
-            p, q = _state_test(t, x), _state_test(t, y)
-            if isinstance(g, And):
-                return p and q and (lambda v, rep: p(v, rep) and q(v, rep))
-            return p and q and (lambda v, rep: p(v, rep) or q(v, rep))
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ singleton class named by itself.  All capability checks (``enables``, policy
 conditions, state predicates) operate on actor classes, so the insider
 inherits the placements, credentials, and roles of its alter egos.
 
-Policy conditions and state predicates are trees of the shared connectives
-over one set of atom records; an atom both languages use, such as
-``is_in``, is one class.  :func:`vector_condition` compiles either kind of
-tree over a model's state vector and is the only code that says what an atom
-means: :func:`enables` and :func:`eval_predicate` run what it builds.
+Policy conditions, state predicates and CTL formulas (whose atom is
+:class:`Pred`) are trees of the shared connectives over one set of atom
+records.  :func:`vector_condition` compiles any such tree over a model's
+state vector and is the only code that says what an atom means:
+:func:`enables`, :func:`eval_predicate` and the witness search run it.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -69,7 +69,7 @@ class Location:
 
 
 def by_id(locations) -> list[Location]:
-    return sorted(locations, key=lambda l: l.id)
+    return sorted(locations, key=lambda l: (l.id, l.name))
 
 
 @record(frozen=True)
@@ -447,6 +447,13 @@ class PInSet(PredExpr):
     set_name: str
 
 
+@record(frozen=True)
+class Pred:
+    """A named predicate: the atom of CTL formulas, and only of those."""
+
+    name: str
+
+
 # The names these atoms had when each language had its own classes.
 TrueCond, PIsIn, PCountAtLeast = PBool, IsIn, CountAtLeast
 
@@ -518,13 +525,10 @@ class StatePredicate:
 def predicate_body(pred: StatePredicate, arg: str | None = None) -> PredExpr:
     """``pred``'s body applied to ``arg``, which it must take exactly when
     it has a parameter."""
-    if pred.param is not None:
-        if arg is None:
-            raise ModelError(f"predicate {pred.name!r} requires an identity argument")
-        return subst_pred(pred.body, pred.param, arg)
-    if arg is not None:
-        raise ModelError(f"predicate {pred.name!r} takes no argument")
-    return pred.body
+    if (arg is None) != (pred.param is None):
+        need = "takes no" if arg is not None else "is parameterised and requires an identity"
+        raise ModelError(f"predicate {pred.name!r} {need} argument")
+    return pred.body if arg is None else subst_pred(pred.body, pred.param, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +595,8 @@ class Model:
             if fc.foe not in self.identities:
                 raise ModelError(f"assumption references unknown identity {fc.foe!r}")
         if self.variant not in self.policy_variants:
-            raise ModelError(f"unknown policy variant {self.variant!r}")
+            names = ", ".join(sorted(self.policy_variants))
+            raise ModelError(f"model has no policy variant {self.variant!r}; available: {names}")
         self.policy_variants = {
             vname: {loc: frozenset(pols) for loc, pols in pmap.items() if pols}
             for vname, pmap in self.policy_variants.items()
@@ -602,7 +607,7 @@ class Model:
                     raise ModelError(f"policy variant {vname!r} targets unknown location {loc}")
                 for pol in policies:
                     self._check_atoms(pol.condition, known, "policy condition")
-        self._check_graph(self.initial, known)
+        _check_snapshot(self.initial, known, self.identities)
         if self.initial.edges != self.edges:
             raise ModelError("the initial snapshot's edges differ from the model's edges")
         for pred in self.named_predicates.values():
@@ -613,17 +618,11 @@ class Model:
             self._check_atoms(pred.body, known, f"predicate {pred.name!r}", pred.param)
         self.resolver = build_resolver(self.insiders, self.identities)
 
-    def _check_graph(self, graph: InfraGraph, known: set) -> None:
-        for loc in list(graph.placements) + list(graph.loc_value):
-            if loc not in known:
-                raise ModelError(f"graph references unknown location {loc}")
-        for ident in graph.actors():
-            if ident not in self.identities:
-                raise ModelError(f"graph places unknown identity {ident!r}")
-
     def _check_atoms(self, expr, known: set, what: str, param: str | None = None) -> None:
         """Check the names that the atoms of a condition or predicate use."""
         for atom in leaves(expr):
+            if isinstance(atom, Pred):
+                raise ModelError(f"{what} uses predicate {atom.name!r}, which only a formula may")
             loc, action = getattr(atom, "loc", None), getattr(atom, "action", None)
             if loc is not None and loc not in known:
                 raise ModelError(f"{what} references unknown location {loc}")
@@ -819,6 +818,8 @@ def vector_condition(cond, t: Tables):
         case PEnables(loc=loc, identity=ident, action=action):
             judge, who = t.grant[action][t.loc_pos[loc]], t.rep_of.get(ident, ident)
             return _never if judge is None else lambda v, rep: judge(v, who)
+        case Pred(name=name):
+            return t.predicate(name)
         case Not(arg=arg):
             inner = vector_condition(arg, t)
             return lambda v, rep: not inner(v, rep)
@@ -831,18 +832,24 @@ def vector_condition(cond, t: Tables):
     raise ModelError(f"unknown expression node {cond!r}")
 
 
+def _check_snapshot(graph: InfraGraph, locations, identities) -> dict:
+    """Where each identity ``graph`` places is; raises :class:`ModelError`
+    naming the location with the least id, else the least identity, that
+    ``graph`` names and ``locations`` or ``identities`` lack."""
+    where = {i: loc for loc, idents in graph.placements.items() for i in idents}
+    lacking = by_id({*graph.placements, *graph.loc_value} - locations)
+    lacking += sorted({*where, *graph.credentials, *graph.roles} - identities)
+    if lacking:
+        raise ModelError(f"snapshot names {lacking[0]!r}, which the model lacks")
+    return where
+
+
 def encode(model: Model, graph: InfraGraph) -> tuple:
     """``graph``'s state vector under ``model``'s layout (see
     :class:`Tables`).  Raises :class:`ModelError` when the snapshot names an
     identity or a location the model lacks."""
     t = tables(model)
-    where = {i: loc for loc, idents in graph.placements.items() for i in idents}
-    lacking = [
-        *({*graph.placements, *graph.loc_value} - t.loc_pos.keys()),
-        *({*where, *graph.credentials, *graph.roles} - t.id_pos.keys()),
-    ]
-    if lacking:
-        raise ModelError(f"snapshot names {lacking[0]!r}, which the model lacks")
+    where = _check_snapshot(graph, t.loc_pos.keys(), t.id_pos.keys())
     return (
         *(t.loc_pos.get(where.get(i), -1) for i in t.ids),
         *(graph.credentials.get(i, _EMPTY) for i in t.ids),

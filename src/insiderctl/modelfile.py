@@ -136,13 +136,13 @@ class _AtomParser(Parser):
         self.identities = identities
 
     def atom(self, tok):
+        if tok in _PUNCTUATION:
+            self.fail(f"unexpected {tok!r}")
         build = self.atoms.get(tok)
-        arity = build.__code__.co_argcount - 1 if build else None
-        if arity == 0:
-            return build(self)
-        args = self.args()
         if build is None:
             raise ModelError(f"unknown {self.kind} atom {tok!r}")
+        arity = build.__code__.co_argcount - 1
+        args = self.args() if arity else ()
         if len(args) != arity:
             s = "" if arity == 1 else "s"
             raise ModelError(f"{tok} takes {arity} argument{s}, found {len(args)}")

@@ -129,6 +129,37 @@ def test_running_past_the_state_cap_is_a_usage_error(capsys, argv):
     assert (code, out, err) == (2, "", "error: state space exceeds the cap of 5 states\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", MODEL, "AG eve_ok", "--assume", "cockpit:put"],
+         "bad assumption 'cockpit:put'; expected foe:LOC:ACTION:ID"),
+        (["check", MODEL, "AG eve_ok", "--assume", "foe:attic:put:Eve"],
+         "assumption names unknown location 'attic'"),
+        (["check", MODEL, "AG eve_ok", "--assume", "foe:cockpit:fly:Eve"],
+         "unknown action 'fly' in assumption"),
+        (["check", MODEL, "AG eve_ok", "--assume", "foe:cockpit:put:Zed"],
+         "assumption references unknown identity 'Zed'"),
+        (["check", MODEL, "AG eve_ok", "--variant", "strict"],
+         "model has no policy variant 'strict'; available: baseline, four_eyes"),
+        (["check", MODEL, "AG nonsense"], "unknown predicate name 'nonsense'"),
+        (["check", MODEL, "AG global_ok"],
+         "predicate 'global_ok' is parameterised and requires an identity argument"),
+        (["witness", MODEL, "AG eve_ok"],
+         "witness extraction requires a formula of shape EF g"),
+    ],
+    ids=[
+        "assume-syntax", "assume-location", "assume-action", "assume-identity",
+        "variant", "predicate", "parameterised", "witness-shape",
+    ],
+)
+def test_user_error_text(capsys, argv, message):
+    """Each user error exits 2 with one ``error:`` line and no stdout; the
+    text comes from the library check that owns the data."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestReach:
     def test_counts(self, capsys):
         code, out, _ = run(capsys, "reach", MODEL, "--variant", "four_eyes")

@@ -189,10 +189,10 @@ class TestFixpoints:
 
     def test_debug_spot_check_catches_non_monotone(self):
         def shrinker(z):
-            return frozenset({0}) - z  # not monotone, but {} is a fixpoint start
+            return frozenset({0}) - z  # not monotone: the chain {} -> {0} -> {} falls
 
-        with pytest.raises(MonotonicityError):
-            lfp_iterate(shrinker, self.UNIVERSE, debug=True)
+        with pytest.raises(MonotonicityError, match="lfp chain is not monotone"):
+            lfp_iterate(shrinker, self.UNIVERSE)
 
 
 def test_duality_check_raises_under_python_O():

@@ -16,6 +16,9 @@ from insiderctl.model import (
     IsIn,
     Location,
     ModelError,
+    Not,
+    Pred,
+    StatePredicate,
     TrueCond,
     build_resolver,
     enables,
@@ -34,6 +37,7 @@ from insiderctl.airplane import (
     ex_graph,
 )
 
+from children import run_python
 from genmodels import random_model
 
 EVE_STATE = ActorPsyState("depressed", frozenset({"revenge", "peer_recognition"}))
@@ -300,3 +304,46 @@ class TestModelValidation:
         pmap = {**m.policy_map, door: m.policies_at(door) | {AtomicPolicy(cond, {"put"})}}
         with pytest.raises(ModelError, match="policy condition references unknown identity 'Zed'"):
             m._clone(policy_variants={**m.policy_variants, "baseline": pmap})
+
+    def test_only_formulas_name_predicates(self):
+        """A ``Pred`` in a policy would be compiled before the judgments it
+        could name exist, and one in a predicate body could name itself."""
+        m = build_airplane_model("baseline")
+        pol = AtomicPolicy(Pred("eve_ok"), {"put"})
+        pmap = {**m.policy_map, door: m.policies_at(door) | {pol}}
+        with pytest.raises(ModelError, match="policy condition uses predicate 'eve_ok'"):
+            m._clone(policy_variants={**m.policy_variants, "baseline": pmap})
+        loop = StatePredicate("loop", Not(Pred("loop")))
+        with pytest.raises(ModelError, match="predicate 'loop' uses predicate 'loop'"):
+            m._clone(named_predicates={**m.named_predicates, "loop": loop})
+
+    @pytest.mark.parametrize("kind", ["credentials", "roles"])
+    def test_initial_snapshot_names_only_model_identities(self, kind):
+        m = build_airplane_model("baseline")
+        g = m.initial
+        given = {"credentials": g.credentials, "roles": g.roles}
+        given[kind] = {**given[kind], "Zed": {"PIN"}}
+        start = InfraGraph(g.edges, g.placements, given["credentials"], given["roles"], g.loc_value)
+        with pytest.raises(ModelError, match="snapshot names 'Zed', which the model lacks"):
+            m._clone(initial=start)
+
+
+def test_encode_names_the_same_lacking_location_under_every_hash_seed(monkeypatch):
+    """Of two locations a snapshot names and the model lacks, ``encode``
+    names the one with the least id, however the hash seed orders sets."""
+    script = (
+        "from insiderctl import airplane\n"
+        "from insiderctl.model import InfraGraph, Location, ModelError, encode\n"
+        "m, g = airplane.build_airplane_model('baseline'), airplane.ex_graph()\n"
+        "values = {**g.loc_value, Location(9, 'attic'): 'x', Location(8, 'hold'): 'y'}\n"
+        "try:\n"
+        "    encode(m, InfraGraph(g.edges, g.placements, g.credentials, g.roles, values))\n"
+        "except ModelError as exc:\n"
+        "    print(exc)\n"
+    )
+    for seed in range(6):
+        monkeypatch.setenv("PYTHONHASHSEED", str(seed))
+        result = run_python("-c", script)
+        assert result.stdout == (
+            "snapshot names Location(id=8, name='hold'), which the model lacks\n"
+        ), (seed, result.stderr)
