@@ -18,8 +18,12 @@ inherits the placements, credentials, and roles of its alter egos.
 Policy conditions, state predicates and CTL formulas (whose atom is
 :class:`Pred`) are trees of the shared connectives over one set of atom
 records.  :func:`vector_condition` compiles any such tree over a model's
-state vector and is the only code that says what an atom means:
-:func:`enables`, :func:`eval_predicate` and the witness search run it.
+state vector and says what each atom means: :func:`enables`,
+:func:`eval_predicate` and the witness search run it.  Its one twin is
+``nextstate._cond``, which writes the same meaning into the generated
+next-state function; ``tests/test_nextstate.py`` checks that the two agree.
+Each check of a model's names has one owner here, which :class:`Model` and
+the document reader both run: a record's constructor or a ``check_`` function.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -46,10 +50,12 @@ class ModelError(ValueError):
     """A model (or one of its parts) violates a structural invariant."""
 
 
-def _check_token(value: str, what: str) -> str:
-    if not isinstance(value, str) or not value or any(c.isspace() for c in value):
-        raise ModelError(f"{what} must be a non-empty token without whitespace: {value!r}")
-    return value
+def check_name(value: str, what: str) -> None:
+    """Reject ``value``, an identity or a location name, unless it is a
+    word of the model document, which a condition's identity list can name."""
+    word = isinstance(value, str) and value.isascii()
+    if not (word and (value.isidentifier() or value.isdigit())):
+        raise ModelError(f"{what} must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): {value!r}")
 
 
 @record(frozen=True)
@@ -62,7 +68,7 @@ class Location:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ModelError(f"location id must be non-negative: {self.id}")
-        _check_token(self.name, "location name")
+        check_name(self.name, "location name")
 
     def __str__(self) -> str:
         return self.name
@@ -81,11 +87,10 @@ class ActorPsyState:
 
     def __post_init__(self) -> None:
         if self.psy not in PSY_STATES:
-            raise ModelError(f"unknown psy state {self.psy!r}; expected one of {PSY_STATES}")
+            raise ModelError(f"unknown psy state {self.psy!r}")
         object.__setattr__(self, "motivations", frozenset(self.motivations))
-        bad = self.motivations - set(MOTIVATIONS)
-        if bad:
-            raise ModelError(f"unknown motivations {sorted(bad)!r}; expected among {MOTIVATIONS}")
+        if bad := self.motivations - set(MOTIVATIONS):
+            raise ModelError(f"unknown motivation {min(bad)!r}")
 
 
 def tipping_point(state: ActorPsyState) -> bool:
@@ -103,7 +108,7 @@ class InsiderDecl:
     state: ActorPsyState
 
     def __post_init__(self) -> None:
-        _check_token(self.id, "insider identity")
+        check_name(self.id, "insider identity")
         object.__setattr__(self, "alter_egos", frozenset(self.alter_egos))
         if self.id in self.alter_egos:
             raise ModelError(f"insider {self.id!r} cannot list itself as an alter ego")
@@ -469,9 +474,8 @@ class AtomicPolicy:
         object.__setattr__(self, "actions", frozenset(self.actions))
         if not self.actions:
             raise ModelError("atomic policy with empty action set")
-        bad = self.actions - set(ACTIONS)
-        if bad:
-            raise ModelError(f"unknown actions {sorted(bad)!r}; expected among {ACTIONS}")
+        if bad := self.actions - set(ACTIONS):
+            raise ModelError(f"unknown action {min(bad)!r}")
 
 
 @record(frozen=True)
@@ -485,7 +489,7 @@ class FoeControl:
 
     def __post_init__(self) -> None:
         if self.action not in ACTIONS:
-            raise ModelError(f"unknown action {self.action!r} in assumption")
+            raise ModelError(f"unknown action {self.action!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +536,48 @@ def predicate_body(pred: StatePredicate, arg: str | None = None) -> PredExpr:
 
 
 # ---------------------------------------------------------------------------
+# The checks of a model's names that the document reader shares
+
+
+def check_atoms(expr, what: str, locations, identities, sets, param=None) -> None:
+    """Check the names that the atoms of ``expr``, a policy condition or a
+    predicate body (``what``, with its parameter ``param``), use against
+    a model's ``locations``, ``identities`` and identity ``sets``."""
+    for atom in leaves(expr):
+        if isinstance(atom, Pred):
+            raise ModelError(f"{what} uses predicate {atom.name!r}, which only a formula may")
+        loc, action = getattr(atom, "loc", None), getattr(atom, "action", None)
+        if loc is not None and loc not in locations:
+            raise ModelError(f"{what} references unknown location {loc}")
+        if action is not None and action not in ACTIONS:
+            raise ModelError(f"{what} references unknown action {action!r}")
+        s = getattr(atom, "set_name", None)
+        if s is not None and s not in sets:
+            raise ModelError(f"{what} references unknown set {s!r}")
+        ident = getattr(atom, "identity", param)
+        if ident != param and ident not in identities:
+            raise ModelError(f"{what} references unknown identity {ident!r}")
+        if isinstance(atom, AllAtAuthorized) and not atom.allowed <= identities:
+            ident = min(atom.allowed - identities)
+            raise ModelError(f"{what} references unknown identity {ident!r}")
+
+
+def check_predicate(pred: StatePredicate, locations, identities, sets) -> None:
+    """A named predicate's parameter may not shadow an identity, and its
+    body's atoms name only what the model has (see :func:`check_atoms`)."""
+    what = f"predicate {pred.name!r}"
+    if pred.param in identities:
+        raise ModelError(f"{what} parameter {pred.param!r} shadows a model identity")
+    check_atoms(pred.body, what, locations, identities, sets, pred.param)
+
+
+def check_value(loc: Location, value: str, alphabets: dict) -> None:
+    """An initial value lies in its location's alphabet, if it has one."""
+    if alphabets.get(loc) and value not in alphabets[loc]:
+        raise ModelError(f"value {value!r} at {loc} is outside its alphabet")
+
+
+# ---------------------------------------------------------------------------
 # The model
 
 
@@ -570,8 +616,8 @@ class Model:
             raise ModelError("location ids and names must be unique")
         self.edges = edge_set(self.edges)
         self.identities = frozenset(self.identities)
-        for ident in self.identities:
-            _check_token(ident, "identity")
+        for ident in sorted(self.identities):
+            check_name(ident, "identity")
         known = set(self.locations)
         for a, b in self.edges:
             if a not in known or b not in known:
@@ -597,6 +643,7 @@ class Model:
         if self.variant not in self.policy_variants:
             names = ", ".join(sorted(self.policy_variants))
             raise ModelError(f"model has no policy variant {self.variant!r}; available: {names}")
+        names = known, self.identities, self.identity_sets
         self.policy_variants = {
             vname: {loc: frozenset(pols) for loc, pols in pmap.items() if pols}
             for vname, pmap in self.policy_variants.items()
@@ -606,37 +653,15 @@ class Model:
                 if loc not in known:
                     raise ModelError(f"policy variant {vname!r} targets unknown location {loc}")
                 for pol in policies:
-                    self._check_atoms(pol.condition, known, "policy condition")
+                    check_atoms(pol.condition, "policy condition", *names)
         _check_snapshot(self.initial, known, self.identities)
+        for loc, value in self.initial.loc_value.items():
+            check_value(loc, value, self.value_alphabet)
         if self.initial.edges != self.edges:
             raise ModelError("the initial snapshot's edges differ from the model's edges")
         for pred in self.named_predicates.values():
-            if pred.param is not None and pred.param in self.identities:
-                raise ModelError(
-                    f"predicate {pred.name!r} parameter {pred.param!r} shadows a model identity"
-                )
-            self._check_atoms(pred.body, known, f"predicate {pred.name!r}", pred.param)
+            check_predicate(pred, *names)
         self.resolver = build_resolver(self.insiders, self.identities)
-
-    def _check_atoms(self, expr, known: set, what: str, param: str | None = None) -> None:
-        """Check the names that the atoms of a condition or predicate use."""
-        for atom in leaves(expr):
-            if isinstance(atom, Pred):
-                raise ModelError(f"{what} uses predicate {atom.name!r}, which only a formula may")
-            loc, action = getattr(atom, "loc", None), getattr(atom, "action", None)
-            if loc is not None and loc not in known:
-                raise ModelError(f"{what} references unknown location {loc}")
-            if action is not None and action not in ACTIONS:
-                raise ModelError(f"{what} references unknown action {action!r}")
-            s = getattr(atom, "set_name", None)
-            if s is not None and s not in self.identity_sets:
-                raise ModelError(f"{what} references unknown set {s!r}")
-            ident = getattr(atom, "identity", param)
-            if ident != param and ident not in self.identities:
-                raise ModelError(f"{what} references unknown identity {ident!r}")
-            if isinstance(atom, AllAtAuthorized) and not atom.allowed <= self.identities:
-                ident = min(atom.allowed - self.identities)
-                raise ModelError(f"{what} references unknown identity {ident!r}")
 
     @property
     def policy_map(self) -> dict:
@@ -783,8 +808,10 @@ def vector_condition(cond, t: Tables):
     """``cond``, a policy condition or a predicate body, as a closure
     ``(vector, rep) -> bool`` over ``t``'s layout, where ``rep`` is the
     representative of the requesting class; predicate atoms ignore it.
-    This is the one definition of what each atom means: :func:`enables`
-    and :func:`eval_predicate` run what it builds.  ``PEnables`` reuses the
+    This defines what each atom means: :func:`enables` and
+    :func:`eval_predicate` run what it builds, and ``nextstate._cond``, its
+    generated twin, writes the same meaning as source, which
+    ``tests/test_nextstate.py`` checks against it.  ``PEnables`` reuses the
     judgments in ``t.grant``."""
     n, at = t.n, t.at
     match cond:

@@ -33,10 +33,19 @@ which CTL formulas share as well (see :class:`insiderctl.model.Parser`).
 In both, the bound N of ``count_at_least`` is a positive whole number in
 ASCII digits; a location ID is a whole number in ASCII digits.
 
+Section order is free: ``locations`` and ``identities`` are read first,
+then ``sets`` and ``alphabets``, then the rest in document order.  Each
+entry gives at most one diagnostic, at its line; the two about the whole
+document (no location, an unknown default variant) name line 1.  Each check
+has one owner: the reader resolves names and checks what only a document
+has (shapes, duplicates, placements, ``default_policies``); for the rest it
+runs the record constructors and the ``check_`` functions of
+:mod:`insiderctl.model`, as ``Model`` does on every model.
+
 ``serialize_model`` emits a canonical rendering (sections in canonical
-order, sorted entries) and ``parse_model(serialize_model(m))`` is structurally
-equal to ``m``.  Validation failures are collected and reported together
-with their line numbers.
+order, sorted entries), which ``parse_model`` reads back to an equal model
+that serialises to the same bytes, if the model's tokens (credentials,
+roles, values, names of sets, predicates and variants) are words too.
 """
 
 from __future__ import annotations
@@ -44,9 +53,6 @@ from __future__ import annotations
 import functools
 import re
 from .model import (
-    ACTIONS,
-    MOTIVATIONS,
-    PSY_STATES,
     ActorPsyState,
     AllAtAuthorized,
     AtomicPolicy,
@@ -70,6 +76,10 @@ from .model import (
     RequesterAt,
     StatePredicate,
     by_id,
+    check_atoms,
+    check_name,
+    check_predicate,
+    check_value,
     expr_text,
 )
 from .record import record
@@ -129,11 +139,10 @@ class _AtomParser(Parser):
     END = "expression"
     error = staticmethod(lambda pos, message: ModelError(message))
 
-    def __init__(self, text, atoms, kind, locations, identity_sets=None, identities=None):
+    def __init__(self, text, atoms, kind, locations, identity_sets=None):
         super().__init__(text)
         self.atoms, self.kind = atoms, kind
         self.locations, self.identity_sets = locations, identity_sets
-        self.identities = identities
 
     def atom(self, tok):
         if tok in _PUNCTUATION:
@@ -193,9 +202,6 @@ class _AtomParser(Parser):
     def members(self, arg) -> frozenset:
         """A bracketed identity list, or the members of a named set."""
         if isinstance(arg, list):
-            unknown = sorted(set(arg) - self.identities) if self.identities is not None else ()
-            if unknown:
-                raise ModelError(f"unknown identity {unknown[0]!r}")
             return frozenset(arg)
         if arg not in self.identity_sets:
             raise ModelError(f"unknown identity set {arg!r}")
@@ -231,18 +237,8 @@ _ATOM_NAMES = {
 }
 
 
-def parse_condition(
-    text: str, locations: dict, identity_sets: dict, identities=None
-) -> PolicyCondition:
-    """Parse a policy condition; with ``identities``, a bracketed identity
-    list may only name those."""
-    return _AtomParser(
-        text, _CONDITION_ATOMS, "condition", locations, identity_sets, identities
-    ).parse()
-
-
-def parse_predicate_expr(text: str, locations: dict) -> PredExpr:
-    return _AtomParser(text, _PREDICATE_ATOMS, "predicate", locations).parse()
+def parse_condition(text: str, locations: dict, identity_sets: dict) -> PolicyCondition:
+    return _AtomParser(text, _CONDITION_ATOMS, "condition", locations, identity_sets).parse()
 
 
 def _arg_text(arg) -> str:
@@ -285,15 +281,20 @@ def _pattern(shape: str) -> re.Pattern:
     ))
 
 
+# The sections read first, in this order: the others name what they declare.
+_DECLARATIONS = {"locations": 0, "identities": 0, "sets": 1, "alphabets": 1}
+
+
 class _Reader:
     """What a document has declared so far, and one ``read_<section>``
-    method per section that adds a section's entries to it.  An entry is a
-    ``(line, text)`` pair; a diagnostic that quotes a shape quotes the one
-    ``SHAPES`` gives the section being read."""
+    method per section that reads one entry's text and raises
+    :class:`ModelError` for what is wrong with it.  A diagnostic that quotes
+    a shape quotes the one ``SHAPES`` gives the section being read."""
 
     def __init__(self) -> None:
         self.errors: list[Diagnostic] = []
-        self.shape, self.variant = "", None
+        # The section being read: its shape and, for policies, its variant's map.
+        self.shape, self.variant, self.pmap = "", None, None
         # Name -> Location, set name -> members, identity names, edge pairs.
         self.locations, self.identity_sets, self.identities, self.edges = {}, {}, set(), set()
         # The initial snapshot: identity -> tokens, location -> identities or value.
@@ -301,42 +302,45 @@ class _Reader:
         # Location -> alphabet, variant -> location -> policies, name -> predicate.
         self.value_alphabet, self.policy_variants, self.named_predicates = {}, {}, {}
         self.insiders, self.assumptions = [], []
+        # What check_atoms checks names against: the live tables above.
+        self.names = self.locations.values(), self.identities, self.identity_sets
 
     def fail(self, line: int, message: str) -> None:
         self.errors.append(Diagnostic(line, message))
 
-    def expected(self, line: int, text: str) -> None:
-        self.fail(line, f"expected '{self.shape}', found {text!r}")
+    def expected(self, text: str):
+        raise ModelError(f"expected '{self.shape}', found {text!r}")
 
-    def words(self, line: int, text: str) -> tuple[str, ...] | None:
+    def words(self, text: str) -> tuple[str, ...]:
         """The words of ``text`` that stand for the shape's upper-case
-        words, if ``text`` has the shape; see :func:`_pattern`."""
+        words; see :func:`_pattern`."""
         m = _pattern(self.shape).fullmatch(text)
-        return m.groups() if m else self.expected(line, text)
+        return m.groups() if m else self.expected(text)
 
-    def split(self, line: int, text: str) -> tuple[str, list[str]] | None:
+    def split(self, text: str) -> tuple[str, list[str]]:
         """The text before the shape's ``:`` or ``=`` and the words after it."""
         key, mark, rest = text.partition(":" if ":" in self.shape else "=")
-        return (key.strip(), rest.split()) if mark else self.expected(line, text)
+        return (key.strip(), rest.split()) if mark else self.expected(text)
 
-    def loc(self, line: int, name: str) -> Location | None:
-        loc = self.locations.get(name)
-        return loc if loc else self.fail(line, f"unknown location {name!r}")
+    def loc(self, name: str) -> Location:
+        if name not in self.locations:
+            raise ModelError(f"unknown location {name!r}")
+        return self.locations[name]
 
-    def ident(self, line: int, name: str) -> str | None:
-        return name if name in self.identities else self.fail(line, f"unknown identity {name!r}")
+    def ident(self, name: str) -> str:
+        if name not in self.identities:
+            raise ModelError(f"unknown identity {name!r}")
+        return name
 
-    def keyed(self, entries, known):
-        """``(key, tokens)`` for each ``KEY: TOKEN...`` entry whose key
-        ``known`` accepts."""
-        for line, text in entries:
-            parts = self.split(line, text)
-            if parts and (key := known(line, parts[0])):
-                yield key, parts[1]
+    def expression(self, text: str, atoms: dict, kind: str):
+        try:
+            return _AtomParser(text, atoms, kind, self.locations, self.identity_sets).parse()
+        except ModelError as exc:
+            raise ModelError(f"bad {kind}: {exc}") from None
 
     def read(self, text: str) -> Model:
-        """Locations and identities first, since the other sections name
-        them; then the other sections in document order."""
+        """Read the sections in ``_DECLARATIONS`` first, then the others in
+        document order, each entry inside one ``try``."""
         sections, entries = [], None
         for line, raw in enumerate(text.splitlines(), start=1):
             stripped = raw.strip()
@@ -359,166 +363,111 @@ class _Reader:
                 self.fail(line, f"section header {name!r} takes at most one argument")
             entries = []
             sections.append((name, args[0] if args else None, line, entries))
-        sections.sort(key=lambda s: s[0] not in ("locations", "identities"))
-        for name, arg, line, entries in sections:
-            self.shape = SHAPES[name]
-            getattr(self, f"read_{name}")(arg, line, entries)
+        sections.sort(key=lambda s: _DECLARATIONS.get(s[0], 2))
+        for name, arg, header, entries in sections:
+            self.shape, read = SHAPES[name], getattr(self, f"read_{name}")
+            if name == "policies":
+                self.pmap = self.policy_variants.setdefault(arg or "baseline", {})
+            for line, text in entries:
+                try:
+                    read(text)
+                except ModelError as exc:
+                    self.fail(line, str(exc))
+            if name == "default_policies":
+                if arg is None:
+                    self.fail(header, "default_policies needs a variant name")
+                self.variant = arg or self.variant
         return self.model()
 
-    def read_locations(self, arg, header, entries) -> None:
-        for line, text in entries:
-            words = self.words(line, text)
-            if words and not (words[1].isascii() and words[1].isdigit()):
-                words = self.expected(line, text)
-            if words:
-                name, lid = words[0], int(words[1])
-                if name in self.locations or any(l.id == lid for l in self.locations.values()):
-                    self.fail(line, f"duplicate location {name!r} / id {lid}")
-                else:
-                    self.locations[name] = Location(lid, name)
+    def read_locations(self, text: str) -> None:
+        name, lid = self.words(text)
+        if not (lid.isascii() and lid.isdigit()):
+            self.expected(text)
+        if name in self.locations or any(l.id == int(lid) for l in self.locations.values()):
+            raise ModelError(f"duplicate location {name!r} / id {int(lid)}")
+        self.locations[name] = Location(int(lid), name)
 
-    def read_edges(self, arg, header, entries) -> None:
-        for line, text in entries:
-            if words := self.words(line, text):
-                a, b = self.loc(line, words[0]), self.loc(line, words[1])
-                if a and b:
-                    self.edges.add((a, b))
+    def read_edges(self, text: str) -> None:
+        src, dst = self.words(text)
+        self.edges.add((self.loc(src), self.loc(dst)))
 
-    def read_identities(self, arg, header, entries) -> None:
-        for line, text in entries:
-            for name in text.split():
-                if name in self.identities:
-                    self.fail(line, f"duplicate identity {name!r}")
-                self.identities.add(name)
+    def read_identities(self, text: str) -> None:
+        names, known = text.split(), set(self.identities)
+        self.identities.update(names)  # even if at fault, so no later entry finds them unknown
+        for i, name in enumerate(names):
+            if name in known or name in names[:i]:
+                raise ModelError(f"duplicate identity {name!r}")
+            check_name(name, "identity")
 
-    def read_sets(self, arg, header, entries) -> None:
-        for line, text in entries:
-            if parts := self.split(line, text):
-                members = [self.ident(line, i) for i in parts[1]]
-                if None not in members:
-                    self.identity_sets[parts[0]] = frozenset(members)
+    def read_sets(self, text: str) -> None:
+        name, members = self.split(text)
+        self.identity_sets[name] = frozenset(map(self.ident, members))
 
-    def read_credentials(self, arg, header, entries) -> None:
-        for ident, tokens in self.keyed(entries, self.ident):
-            self.credentials.setdefault(ident, set()).update(tokens)
+    def read_credentials(self, text: str, table: str = "credentials") -> None:
+        ident, tokens = self.split(text)
+        getattr(self, table).setdefault(self.ident(ident), set()).update(tokens)
 
-    def read_roles(self, arg, header, entries) -> None:
-        for ident, tokens in self.keyed(entries, self.ident):
-            self.roles.setdefault(ident, set()).update(tokens)
+    def read_roles(self, text: str) -> None:
+        self.read_credentials(text, "roles")
 
-    def read_placements(self, arg, header, entries) -> None:
-        for line, text in entries:
-            parts = self.split(line, text)
-            loc = parts and self.loc(line, parts[0])
-            if not loc:
-                continue
-            if loc in self.placements:
-                self.fail(line, f"duplicate placement entry for {loc}")
-                continue
-            names = parts[1]
-            ok = None not in [self.ident(line, n) for n in names]
-            if len(set(names)) != len(names):
-                ok = self.fail(line, f"identity placed twice at {loc}")
-            placed = {i for ids in self.placements.values() for i in ids} & set(names)
-            if placed:
-                ok = self.fail(line, f"identity {min(placed)!r} is already placed elsewhere")
-            if ok:
-                self.placements[loc] = tuple(names)
+    def read_placements(self, text: str) -> None:
+        where, names = self.split(text)
+        loc = self.loc(where)
+        if loc in self.placements:
+            raise ModelError(f"duplicate placement entry for {loc}")
+        if len(set(map(self.ident, names))) != len(names):
+            raise ModelError(f"identity placed twice at {loc}")
+        placed = {i for ids in self.placements.values() for i in ids} & set(names)
+        if placed:
+            raise ModelError(f"identity {min(placed)!r} is already placed elsewhere")
+        self.placements[loc] = tuple(names)
 
-    def read_values(self, arg, header, entries) -> None:
-        for line, text in entries:
-            words = self.words(line, text)
-            if loc := words and self.loc(line, words[0]):
-                self.values[loc] = words[1]
+    def read_values(self, text: str) -> None:
+        where, value = self.words(text)
+        check_value(loc := self.loc(where), value, self.value_alphabet)
+        self.values[loc] = value
 
-    def read_alphabets(self, arg, header, entries) -> None:
-        for loc, tokens in self.keyed(entries, self.loc):
-            self.value_alphabet[loc] = frozenset(tokens)
+    def read_alphabets(self, text: str) -> None:
+        where, tokens = self.split(text)
+        self.value_alphabet[self.loc(where)] = frozenset(tokens)
 
-    def read_policies(self, arg, header, entries) -> None:
-        pmap = self.policy_variants.setdefault(arg or "baseline", {})
-        for line, text in entries:
-            words = self.words(line, text)
-            loc = words and self.loc(line, words[0])
-            if not loc:
-                continue
-            actions = frozenset(words[1].split(","))
-            bad = actions - set(ACTIONS)
-            if bad:
-                self.fail(line, f"unknown action {min(bad)!r}")
-                continue
-            try:
-                cond = parse_condition(
-                    words[2], self.locations, self.identity_sets, self.identities
-                )
-            except ValueError as exc:
-                self.fail(line, f"bad condition: {exc}")
-                continue
-            pmap.setdefault(loc, set()).add(AtomicPolicy(cond, actions))
+    def read_policies(self, text: str) -> None:
+        where, actions, text = self.words(text)
+        loc, cond = self.loc(where), self.expression(text, _CONDITION_ATOMS, "condition")
+        policy = AtomicPolicy(cond, actions.split(","))
+        check_atoms(cond, "policy condition", *self.names)
+        self.pmap.setdefault(loc, set()).add(policy)
 
-    def read_default_policies(self, arg, header, entries) -> None:
-        for line, text in entries:
-            self.fail(line, f"default_policies takes no entries, found {text!r}")
-        if arg is None:
-            self.fail(header, "default_policies needs a variant name")
-        else:
-            self.variant = arg
+    def read_default_policies(self, text: str) -> None:
+        raise ModelError(f"default_policies takes no entries, found {text!r}")
 
-    def read_insiders(self, arg, header, entries) -> None:
-        for line, text in entries:
-            words = text.split()
-            try:
-                psy_at = words.index("psy")
-                who, verb, egos = words[0], words[1], words[2:psy_at]
-                psy, motives = words[psy_at + 1], words[psy_at + 2:]
-            except (IndexError, ValueError):
-                verb = None
-            if verb != "impersonates" or motives[:1] not in ([], ["motives"]):
-                self.expected(line, text)
-                continue
-            motives = motives[1:]
-            if psy not in PSY_STATES:
-                self.fail(line, f"unknown psy state {psy!r}")
-                continue
-            bad = set(motives) - set(MOTIVATIONS)
-            if bad:
-                self.fail(line, f"unknown motivation {min(bad)!r}")
-                continue
-            if self.ident(line, who) is None or any(self.ident(line, x) is None for x in egos):
-                continue
-            try:
-                state = ActorPsyState(psy, frozenset(motives))
-                self.insiders.append(InsiderDecl(who, frozenset(egos), state))
-            except ModelError as exc:
-                self.fail(line, str(exc))
+    def read_insiders(self, text: str) -> None:
+        words = text.split()
+        try:
+            psy_at = words.index("psy")
+            who, verb, egos = words[0], words[1], words[2:psy_at]
+            psy, motives = words[psy_at + 1], words[psy_at + 2:]
+        except (IndexError, ValueError):
+            verb = None
+        if verb != "impersonates" or motives[:1] not in ([], ["motives"]):
+            self.expected(text)
+        state = ActorPsyState(psy, motives[1:])
+        self.insiders.append(InsiderDecl(self.ident(who), [*map(self.ident, egos)], state))
 
-    def read_predicates(self, arg, header, entries) -> None:
-        for line, text in entries:
-            m = _PREDICATE.fullmatch(text)
-            if not m:
-                self.expected(line, text)
-                continue
-            name, param, body = m.groups()
-            try:
-                expr = parse_predicate_expr(body, self.locations)
-            except ValueError as exc:
-                self.fail(line, f"bad predicate: {exc}")
-                continue
-            if name in self.named_predicates:
-                self.fail(line, f"duplicate predicate {name!r}")
-                continue
-            self.named_predicates[name] = StatePredicate(name, expr, param=param)
+    def read_predicates(self, text: str) -> None:
+        name, param, body = (_PREDICATE.fullmatch(text) or self.expected(text)).groups()
+        expr = self.expression(body, _PREDICATE_ATOMS, "predicate")
+        if name in self.named_predicates:
+            raise ModelError(f"duplicate predicate {name!r}")
+        pred = StatePredicate(name, expr, param=param)
+        check_predicate(pred, *self.names)
+        self.named_predicates[name] = pred
 
-    def read_assumptions(self, arg, header, entries) -> None:
-        for line, text in entries:
-            words = self.words(line, text)
-            loc = words and self.loc(line, words[0])
-            if not loc:
-                continue
-            if words[1] not in ACTIONS:
-                self.fail(line, f"unknown action {words[1]!r}")
-            elif self.ident(line, words[2]) is not None:
-                self.assumptions.append(FoeControl(loc, words[1], words[2]))
+    def read_assumptions(self, text: str) -> None:
+        where, action, foe = self.words(text)
+        assumption = FoeControl(self.loc(where), action, foe)
+        self.ident(foe)
+        self.assumptions.append(assumption)
 
     def model(self) -> Model:
         if not self.locations:
@@ -530,28 +479,14 @@ class _Reader:
             self.fail(1, f"default_policies names unknown variant {self.variant!r}")
         if self.errors:
             raise ModelParseError(self.errors)
-        edges = frozenset(self.edges)
-        try:
-            return Model(
-                locations=tuple(self.locations.values()),
-                edges=edges,
-                identities=frozenset(self.identities),
-                initial=InfraGraph(
-                    edges, self.placements, self.credentials, self.roles, self.values
-                ),
-                policy_variants={
-                    name: {loc: frozenset(pols) for loc, pols in pmap.items()}
-                    for name, pmap in variants.items()
-                },
-                variant=self.variant,
-                value_alphabet=self.value_alphabet,
-                insiders=tuple(self.insiders),
-                identity_sets=self.identity_sets,
-                named_predicates=self.named_predicates,
-                assumptions=tuple(self.assumptions),
-            )
-        except ModelError as exc:
-            raise ModelParseError([Diagnostic(0, str(exc))]) from exc
+        edges = frozenset(self.edges)  # one set, which the model and its snapshots share
+        return Model(
+            locations=self.locations.values(), edges=edges, identities=self.identities,
+            initial=InfraGraph(edges, self.placements, self.credentials, self.roles, self.values),
+            policy_variants=variants, variant=self.variant, value_alphabet=self.value_alphabet,
+            insiders=self.insiders, identity_sets=self.identity_sets,
+            named_predicates=self.named_predicates, assumptions=self.assumptions,
+        )
 
 
 def parse_model(text: str) -> Model:

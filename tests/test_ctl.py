@@ -346,25 +346,25 @@ class TestDot:
         assert a.count(" -> ") == sum(len(e) for e in four_eyes_kripke.edges)
 
     def test_labels_escape_backslashes_and_quotes(self):
-        # Names may hold any non-space character, Graphviz's \N among them.
+        # Values may hold any non-space character, Graphviz's \N among them.
         k = reachable(parse_model(textwrap.dedent(r"""
             locations
-              a\N 0
-              b" 1
+              a 0
+              b 1
             edges
-              a\N -> b"
+              a -> b
             identities
-              Ann\
+              Ann
             placements
-              a\N: Ann\
+              a: Ann
             values
-              b" = x\
+              b = \N"
             alphabets
-              b": x\ y"
+              b: \N" y\
             policies baseline
-              at a\N allow move if true
-              at b" allow move if true
-              at b" allow put if true
+              at a allow move if true
+              at b allow move if true
+              at b allow put if true
             default_policies baseline
             """)))
         lines = dot_export(k).splitlines()[3:-1]
@@ -374,5 +374,5 @@ class TestDot:
             assert re.fullmatch(rf"  s\d+( -> s\d+)? {label}( penwidth=2)?\];", line), line
         node = re.search(label, lines[0]).group(1)
         assert re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], node) == (
-            "s0\na\\N:[Ann\\]\nb'=x\\"
+            "s0\na:[Ann]\nb=\\N'"
         )

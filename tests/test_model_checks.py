@@ -1,0 +1,111 @@
+"""Each check of a model's names has one owner, which the API and the
+document reader both run: a model built through the API and the same model
+written as a document are rejected with the same message, and the document
+at the line of the entry at fault, as its only diagnostic."""
+
+import pytest
+
+from insiderctl.model import (
+    ActorPsyState,
+    AllAtAuthorized,
+    AtomicPolicy,
+    FoeControl,
+    InfraGraph,
+    InsiderDecl,
+    Location,
+    Model,
+    ModelError,
+    PAt,
+    PBool,
+    PEnables,
+    PInSet,
+    StatePredicate,
+)
+from insiderctl.modelfile import Diagnostic, ModelParseError, parse_model
+
+A, B = Location(0, "a"), Location(1, "b")
+IDS = frozenset({"Ann", "Ben", "Eve"})
+# Lines 1-5; each case's entries start at line 6.
+BASE = "locations\n  a 0\n  b 1\nidentities\n  Ann Ben Eve\n"
+
+
+def model(**fields) -> Model:
+    """A model over ``BASE``'s locations and identities."""
+    empty = InfraGraph((), {}, {}, {}, {})
+    base = dict(locations=(A, B), edges=(), identities=IDS, initial=empty,
+                policy_variants={"baseline": {}})
+    return Model(**base | fields)
+
+
+def policy(cond, actions=("move",)) -> Model:
+    return model(policy_variants={"base": {A: {AtomicPolicy(cond, actions)}}}, variant="base")
+
+
+def predicate(body, param=None) -> Model:
+    return model(named_predicates={"p": StatePredicate("p", body, param)})
+
+
+def insider(psy, motives=()) -> Model:
+    return model(insiders=(InsiderDecl("Eve", {"Ann"}, ActorPsyState(psy, motives)),))
+
+
+# name -> (API build, document entries after BASE, line, message)
+CASES = {
+    "unknown action in a policy": (
+        lambda: policy(PBool(), ("move", "fly")),
+        "policies base\n  at a allow move,fly if true\n", 7, "unknown action 'fly'"),
+    "unknown action in an assumption": (
+        lambda: model(assumptions=(FoeControl(A, "fly", "Eve"),)),
+        "assumptions\n  foe a fly Eve\n", 7, "unknown action 'fly'"),
+    "bad psy state": (
+        lambda: insider("grumpy"),
+        "insiders\n  Eve impersonates Ann psy grumpy\n", 7, "unknown psy state 'grumpy'"),
+    "bad motivation": (
+        lambda: insider("stressed", {"revenge", "fun"}),
+        "insiders\n  Eve impersonates Ann psy stressed motives revenge fun\n", 7,
+        "unknown motivation 'fun'"),
+    "unknown identity in an all_at_in list": (
+        lambda: policy(AllAtAuthorized(A, {"Ann", "Zed"})),
+        "policies base\n  at a allow move if all_at_in(a, [Ann Zed])\n", 7,
+        "policy condition references unknown identity 'Zed'"),
+    "predicate names an unknown set": (
+        lambda: predicate(PInSet("Ann", "crew")),
+        "predicates\n  p := inset(Ann, crew)\n", 7,
+        "predicate 'p' references unknown set 'crew'"),
+    "predicate names an unknown identity": (
+        lambda: predicate(PAt("Zed", A)),
+        "predicates\n  p := at(Zed, a)\n", 7,
+        "predicate 'p' references unknown identity 'Zed'"),
+    "predicate names an unknown action": (
+        lambda: predicate(PEnables(A, "Ann", "fly")),
+        "predicates\n  p := enables(a, Ann, fly)\n", 7,
+        "predicate 'p' references unknown action 'fly'"),
+    "predicate parameter shadows an identity": (
+        lambda: predicate(PAt("Ann", A), "Ann"),
+        "predicates\n  p(Ann) := at(Ann, a)\n", 7,
+        "predicate 'p' parameter 'Ann' shadows a model identity"),
+    "value outside its alphabet": (
+        lambda: model(initial=InfraGraph((), {}, {}, {}, {A: "x"}), value_alphabet={A: {"y"}}),
+        "alphabets\n  a: y\nvalues\n  a = x\n", 9, "value 'x' at a is outside its alphabet"),
+    "value outside its alphabet, declared after it": (
+        lambda: model(initial=InfraGraph((), {}, {}, {}, {A: "x"}), value_alphabet={A: {"y"}}),
+        "values\n  a = x\nalphabets\n  a: y\n", 7, "value 'x' at a is outside its alphabet"),
+    "identity that is not a word": (
+        lambda: model(identities=IDS | {"A:B"}),
+        "identities\n  A:B\n", 7,
+        "identity must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): 'A:B'"),
+    "location name that is not a word": (
+        lambda: model(locations=(A, B, Location(2, "c-d"))),
+        "locations\n  c-d 2\n", 7,
+        "location name must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): 'c-d'"),
+}
+
+
+@pytest.mark.parametrize("build, entries, line, message", CASES.values(), ids=CASES)
+def test_the_api_and_the_reader_give_one_message(build, entries, line, message):
+    with pytest.raises(ModelError) as api:
+        build()
+    assert str(api.value) == message
+    with pytest.raises(ModelParseError) as doc:
+        parse_model(BASE + entries)
+    assert doc.value.diagnostics == [Diagnostic(line, message)]

@@ -1,9 +1,12 @@
+import random
+import re
 from pathlib import Path
 
 import pytest
 
 from insiderctl import modelfile
 from insiderctl.airplane import build_airplane_model
+from insiderctl.model import AllAtAuthorized, AtomicPolicy, InfraGraph, Location, Model, ModelError
 from insiderctl.modelfile import (
     SECTIONS,
     ModelParseError,
@@ -64,6 +67,63 @@ class TestRoundTrip:
             text = serialize_model(model)
             assert parse_model(text) == model, f"seed {seed}"
 
+    @pytest.mark.parametrize("name", ["A:B", "A=B", "Ann-Lee", "x(y", "Ann_Lee", "_7", "42"])
+    def test_names_round_trip_or_are_rejected(self, name):
+        """An identity or location name that is not a word would serialise
+        to a document that does not parse, so ``Model`` rejects it; a word
+        round-trips byte-exactly, also inside an ``all_at_in`` list."""
+        def build(loc_name="b"):
+            a, b = Location(0, "a"), Location(1, loc_name)
+            return Model(
+                locations=(a, b),
+                edges=(),
+                identities={name, "Ben"},
+                initial=InfraGraph((), {a: (name,)}, {}, {}, {}),
+                policy_variants={"baseline": {a: {AtomicPolicy(AllAtAuthorized(b, {name}), {"move"})}}},
+            )
+
+        if not re.fullmatch(r"\w+", name):
+            with pytest.raises(ModelError, match="^identity must be a word"):
+                build()
+            with pytest.raises(ModelError, match="^location name must be a word"):
+                Location(1, name)
+            return
+        text = serialize_model(build(name))
+        assert parse_model(text) == build(name)
+        assert serialize_model(parse_model(text)) == text
+
+
+def _blocks(text: str) -> list[str]:
+    """The section blocks of ``text``, a document that starts with a
+    header: each header with the lines under it."""
+    blocks = []
+    for line in text.splitlines():
+        if line[:1].strip() and not line.startswith("#"):
+            blocks.append(line)
+        else:
+            blocks[-1] += "\n" + line
+    return blocks
+
+
+class TestSectionOrder:
+    def test_shuffled_sections_parse_to_the_same_model(self):
+        """Whatever the order of its sections, a document parses to one
+        model.  Each ``all_at_in`` list equal to a declared set is written
+        as the set's name, so that a policy depends on ``sets``."""
+        docs = [GOLDEN.read_text(encoding="utf-8")]
+        docs += [serialize_model(random_model(seed)) for seed in range(20)]
+        rng = random.Random(17)
+        for doc in docs:
+            for block in _blocks(doc):
+                if block.startswith("sets"):
+                    for entry in block.splitlines()[1:]:
+                        name, _, members = entry.strip().partition(" = ")
+                        doc = doc.replace(f"[{' '.join(sorted(members.split()))}]", name)
+            expected, blocks = parse_model(doc), _blocks(doc)
+            for _ in range(5):
+                rng.shuffle(blocks)
+                assert parse_model("\n".join(blocks) + "\n") == expected
+
 
 class TestDiagnostics:
     def err(self, text):
@@ -116,7 +176,9 @@ class TestDiagnostics:
             "locations\n  a 0\nidentities\n  Ann\npolicies b\n"
             "  at a allow move if all_at_in(a, [Ann Zed])\n"
         )
-        assert [str(d) for d in diags] == ["line 6: bad condition: unknown identity 'Zed'"]
+        assert [str(d) for d in diags] == [
+            "line 6: policy condition references unknown identity 'Zed'"
+        ]
 
     @pytest.mark.parametrize(
         "cond, found",
