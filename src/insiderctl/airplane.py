@@ -231,11 +231,12 @@ def security(model: Model, graph: InfraGraph, identity: str) -> bool:
     return not enables(model, graph, cockpit, model.resolver.actor_of(identity), "move")
 
 
-def cockpit_foe_control(foe: str = "Eve"):
-    """The assumption needed to close the global security proof."""
+def cockpit_foe_control():
+    """The assumption needed to close the global security proof: Eve is
+    disabled for ``put`` at the cockpit whenever someone else is there."""
     from .model import FoeControl
 
-    return FoeControl(cockpit, "put", foe)
+    return FoeControl(cockpit, "put", "Eve")
 
 
 @record(frozen=True)

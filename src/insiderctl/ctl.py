@@ -41,7 +41,7 @@ from __future__ import annotations
 from .model import And, InfraGraph, Model, ModelError, Not, Or, Pred, encode, leaves, tables
 from .model import vector_condition
 from .model import eval_predicate  # noqa: F401  (bench/layers.py times calls to ctl.eval_predicate)
-from .record import field, record
+from .record import record
 from .transition import TransitionLabel, successors
 
 
@@ -75,19 +75,18 @@ class KripkeModel:
     and that every state outside ``init`` has a predecessor with a lower
     number; so every state is reachable, and the state list is exactly the
     closure of the initial states.  :meth:`graph` builds a state's snapshot
-    and :meth:`label` a predicate's satisfying set.
+    and :meth:`label` a predicate's satisfying set, each cached on first
+    request.  ``index`` maps each state's vector to its number.
     """
 
     model: Model
     states: list[tuple]
     edges: list[list[tuple[TransitionLabel, int]]]
     init: frozenset[int]
-    index: dict = field(repr=False)
-    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _backward: tuple = field(default=None, init=False, repr=False, compare=False)
-    _labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    index: dict
 
     def __post_init__(self) -> None:
+        self._graphs, self._labels = {}, {}  # the caches of graph() and label()
         n = len(self.states)
         if len(self.edges) != n:
             raise ModelError("inconsistent Kripke payload lengths")
@@ -474,11 +473,12 @@ def _first_path(found, sources, goal) -> TracePath | None:
 
 
 def shortest_path_via(k: KripkeModel, waypoints) -> TracePath | None:
-    """Shortest path from an initial state through the given states in
-    order, as the concatenation of shortest legs."""
+    """Shortest path from an initial state through the given state vectors
+    in order, as the concatenation of shortest legs; ``None`` when a
+    waypoint is unreachable."""
     indices = []
-    for st in waypoints:
-        i = k.index.get(st) if isinstance(st, tuple) else st
+    for v in waypoints:
+        i = k.index.get(v)
         if i is None:
             return None
         indices.append(i)

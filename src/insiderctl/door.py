@@ -96,11 +96,12 @@ class TraceStep:
     is_open: bool
 
 
-def door_run(events, start: DoorState = INITIAL) -> list[TraceStep]:
-    """Fold :func:`door_step` over a finite script, recording each step;
-    a clock that leaves the floats raises :class:`DoorScriptError`."""
+def door_run(events) -> list[TraceStep]:
+    """Fold :func:`door_step` over a finite script from ``INITIAL``,
+    recording each step; a clock that leaves the floats raises
+    :class:`DoorScriptError`."""
     trace = []
-    state = start
+    state = INITIAL
     for i, event in enumerate(events):
         try:
             state = door_step(state, event)

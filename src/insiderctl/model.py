@@ -30,7 +30,7 @@ Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from .record import field, record
+from .record import record
 
 ACTIONS = ("get", "move", "eval", "put")
 
@@ -120,14 +120,14 @@ class ActorResolver:
     its representative, its least member.
 
     Non-singleton classes come only from insider declarations whose tipping
-    point is active; every other identity maps to itself.
+    point is active; every other identity maps to itself.  ``_rep`` maps
+    each identity of a class to its representative.
     """
 
     classes: tuple[frozenset[str], ...] = ()
 
-    _rep: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_rep", {})
         for cls in self.classes:
             rep = min(cls)
             for ident in cls:
@@ -539,13 +539,18 @@ def predicate_body(pred: StatePredicate, arg: str | None = None) -> PredExpr:
 # The checks of a model's names that the document reader shares
 
 
-def check_atoms(expr, what: str, locations, identities, sets, param=None) -> None:
-    """Check the names that the atoms of ``expr``, a policy condition or a
-    predicate body (``what``, with its parameter ``param``), use against
-    a model's ``locations``, ``identities`` and identity ``sets``."""
+def check_atoms(expr, what: str, language: type, locations, identities, sets, param=None) -> None:
+    """Check that every atom of ``expr``, a policy condition or a predicate
+    body (``what``, with its parameter ``param``), belongs to its
+    ``language`` (:class:`PolicyCondition` or :class:`PredExpr`), and the
+    names the atoms use against a model's ``locations``, ``identities`` and
+    identity ``sets``."""
     for atom in leaves(expr):
         if isinstance(atom, Pred):
             raise ModelError(f"{what} uses predicate {atom.name!r}, which only a formula may")
+        if not isinstance(atom, language):
+            name = type(atom).__name__
+            raise ModelError(f"{what} uses {name}, which is not a {language.__name__}")
         loc, action = getattr(atom, "loc", None), getattr(atom, "action", None)
         if loc is not None and loc not in locations:
             raise ModelError(f"{what} references unknown location {loc}")
@@ -568,7 +573,7 @@ def check_predicate(pred: StatePredicate, locations, identities, sets) -> None:
     what = f"predicate {pred.name!r}"
     if pred.param in identities:
         raise ModelError(f"{what} parameter {pred.param!r} shadows a model identity")
-    check_atoms(pred.body, what, locations, identities, sets, pred.param)
+    check_atoms(pred.body, what, PredExpr, locations, identities, sets, pred.param)
 
 
 def check_value(loc: Location, value: str, alphabets: dict) -> None:
@@ -588,7 +593,11 @@ class Model:
     ``policy_variants`` maps variant names to policy maps (location to set of
     atomic policies); ``variant`` selects the active one.  ``assumptions``
     are consulted by :func:`enables` at evaluation time and are never derived
-    from the policies themselves.
+    from the policies themselves.  ``value_alphabet``, ``identity_sets`` and
+    ``named_predicates`` default to empty.  ``resolver`` (the model's
+    :class:`ActorResolver`) and ``_tables`` (its state-vector layout and
+    everything compiled over it; see :func:`tables`) are derived from the
+    fields.
     """
 
     locations: tuple[Location, ...]
@@ -597,14 +606,11 @@ class Model:
     initial: InfraGraph
     policy_variants: dict
     variant: str = "baseline"
-    value_alphabet: dict = field(default_factory=dict)
+    value_alphabet: dict | None = None
     insiders: tuple[InsiderDecl, ...] = ()
-    identity_sets: dict = field(default_factory=dict)
-    named_predicates: dict = field(default_factory=dict)
+    identity_sets: dict | None = None
+    named_predicates: dict | None = None
     assumptions: tuple[FoeControl, ...] = ()
-    resolver: ActorResolver = field(init=False, compare=False, repr=False)
-    # The state-vector layout and everything compiled over it; see tables().
-    _tables: "Tables | None" = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.locations = tuple(by_id(self.locations))
@@ -622,11 +628,12 @@ class Model:
         for a, b in self.edges:
             if a not in known or b not in known:
                 raise ModelError(f"edge ({a}, {b}) references an unknown location")
-        self.value_alphabet = {l: frozenset(v) for l, v in self.value_alphabet.items() if v}
+        alphabets = self.value_alphabet or {}
+        self.value_alphabet = {l: frozenset(v) for l, v in alphabets.items() if v}
         for loc in self.value_alphabet:
             if loc not in known:
                 raise ModelError(f"value alphabet for unknown location {loc}")
-        self.identity_sets = {n: frozenset(s) for n, s in self.identity_sets.items()}
+        self.identity_sets = {n: frozenset(s) for n, s in (self.identity_sets or {}).items()}
         for name, members in self.identity_sets.items():
             stray = members - self.identities
             if stray:
@@ -653,15 +660,17 @@ class Model:
                 if loc not in known:
                     raise ModelError(f"policy variant {vname!r} targets unknown location {loc}")
                 for pol in policies:
-                    check_atoms(pol.condition, "policy condition", *names)
+                    check_atoms(pol.condition, "policy condition", PolicyCondition, *names)
         _check_snapshot(self.initial, known, self.identities)
         for loc, value in self.initial.loc_value.items():
             check_value(loc, value, self.value_alphabet)
         if self.initial.edges != self.edges:
             raise ModelError("the initial snapshot's edges differ from the model's edges")
+        self.named_predicates = dict(self.named_predicates or {})
         for pred in self.named_predicates.values():
             check_predicate(pred, *names)
         self.resolver = build_resolver(self.insiders, self.identities)
+        self._tables = None  # built on first use by tables()
 
     @property
     def policy_map(self) -> dict:
@@ -679,8 +688,8 @@ class Model:
     def _clone(self, **overrides) -> "Model":
         """A new model from this one's constructor arguments, with
         ``overrides`` in place of some."""
-        fields = self.__dataclass_fields__.values()
-        return Model(**{f.name: getattr(self, f.name) for f in fields if f.init} | overrides)
+        names = self.__dataclass_fields__
+        return Model(**{name: getattr(self, name) for name in names} | overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ and their entry shapes::
     predicates       NAME[(PARAM)] := EXPR
     assumptions      foe LOC ACTION ID
 
-Policy conditions use atoms ``true``, ``requester_at(LOC)``,
+Policy conditions use atoms ``true``, ``false``, ``requester_at(LOC)``,
 ``has_cred(TOK)``, ``has_role(TOK)``, ``is_in(LOC, VAL)``,
 ``count_at_least(LOC, N)``, ``all_at_in(LOC, [ID...])`` (model identities
 separated by spaces; a named identity set is accepted in place of the
@@ -139,7 +139,7 @@ class _AtomParser(Parser):
     END = "expression"
     error = staticmethod(lambda pos, message: ModelError(message))
 
-    def __init__(self, text, atoms, kind, locations, identity_sets=None):
+    def __init__(self, text, atoms, kind, locations, identity_sets):
         super().__init__(text)
         self.atoms, self.kind = atoms, kind
         self.locations, self.identity_sets = locations, identity_sets
@@ -209,7 +209,8 @@ class _AtomParser(Parser):
 
 
 _CONDITION_ATOMS = {
-    "true": lambda p: PBool(),
+    "true": lambda p: PBool(True),
+    "false": lambda p: PBool(False),
     "requester_at": lambda p, l: RequesterAt(p.loc(l)),
     "has_cred": lambda p, c: HasCred(p.name(c)),
     "has_role": lambda p, r: HasRole(p.name(r)),
@@ -220,8 +221,8 @@ _CONDITION_ATOMS = {
 }
 
 _PREDICATE_ATOMS = {
-    "true": lambda p: PBool(True),
-    "false": lambda p: PBool(False),
+    "true": _CONDITION_ATOMS["true"],
+    "false": _CONDITION_ATOMS["false"],
     "enables": lambda p, l, i, a: PEnables(p.loc(l), p.name(i), p.name(a)),
     "at": lambda p, i, l: PAt(p.name(i), p.loc(l)),
     "is_in": _CONDITION_ATOMS["is_in"],
@@ -401,6 +402,8 @@ class _Reader:
 
     def read_sets(self, text: str) -> None:
         name, members = self.split(text)
+        if name in self.identity_sets:
+            raise ModelError(f"duplicate set {name!r}")
         self.identity_sets[name] = frozenset(map(self.ident, members))
 
     def read_credentials(self, text: str, table: str = "credentials") -> None:
@@ -424,18 +427,24 @@ class _Reader:
 
     def read_values(self, text: str) -> None:
         where, value = self.words(text)
-        check_value(loc := self.loc(where), value, self.value_alphabet)
+        loc = self.loc(where)
+        if loc in self.values:
+            raise ModelError(f"duplicate value for {loc}")
+        check_value(loc, value, self.value_alphabet)
         self.values[loc] = value
 
     def read_alphabets(self, text: str) -> None:
         where, tokens = self.split(text)
-        self.value_alphabet[self.loc(where)] = frozenset(tokens)
+        loc = self.loc(where)
+        if loc in self.value_alphabet:
+            raise ModelError(f"duplicate alphabet for {loc}")
+        self.value_alphabet[loc] = frozenset(tokens)
 
     def read_policies(self, text: str) -> None:
         where, actions, text = self.words(text)
         loc, cond = self.loc(where), self.expression(text, _CONDITION_ATOMS, "condition")
         policy = AtomicPolicy(cond, actions.split(","))
-        check_atoms(cond, "policy condition", *self.names)
+        check_atoms(cond, "policy condition", PolicyCondition, *self.names)
         self.pmap.setdefault(loc, set()).add(policy)
 
     def read_default_policies(self, text: str) -> None:

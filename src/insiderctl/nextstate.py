@@ -11,7 +11,7 @@ tuple.  Models with equal sources share one code object.
 """
 
 from .model import AllAtAuthorized, And, CountAtLeast, HasCred, HasRole, IsIn, Not, Or
-from .model import PBool, RequesterAt, Tables, vector_condition
+from .model import PBool, RequesterAt, Tables
 from .transition import _label
 
 _CODE: dict = {}  # source text -> code object, the most recently built last
@@ -29,9 +29,10 @@ def _join(op: str, parts: list):
 
 
 def _cond(e, rep: str, t: Tables, const):
-    """``e`` for the class ``rep`` as :func:`vector_condition` means it: an
-    expression over ``v``, ``w = v[:n]`` and ``x0``..., or a bool; ``const``
-    names a constant.  Chains of ``&``, ``|`` and ``!`` are flattened."""
+    """``e``, a policy condition, for the class ``rep`` as
+    :func:`vector_condition` means it: an expression over ``v``, ``w =
+    v[:n]`` and ``x0``..., or a bool; ``const`` names a constant.  Chains of
+    ``&``, ``|`` and ``!`` are flattened."""
     n, negate, mine = t.n, False, t.at[rep]
     while isinstance(e, Not):
         e, negate = e.arg, not negate
@@ -59,8 +60,6 @@ def _cond(e, rep: str, t: Tables, const):
         case AllAtAuthorized(loc=loc, allowed=ok):
             k = t.loc_pos[loc]
             out = _join(" and ", [f"x{p} != {k}" for p, i in enumerate(t.ids) if i not in ok])
-        case _:  # an atom of predicates only: call its closure
-            out = f"{const(vector_condition(e, t))}(v, {const(rep)})"
     return (not out if type(out) is bool else f"(not {out})") if negate else out
 
 

@@ -7,25 +7,27 @@ attributes into fields in order, as ``@dataclass`` does, and add
 ``__repr__``, ``__eq__`` and ``__match_args__``.  A frozen record also
 gets ``__hash__`` and assignment and deletion that raise
 :class:`FrozenInstanceError`; ``object.__setattr__`` still works.  A
-mutable record is unhashable.  :func:`field` takes ``default``,
-``default_factory``, ``init``, ``repr`` and ``compare``.  Each method does
-what the one ``dataclasses`` writes does, and runs at least as fast, because
-it is generated source too; but a class takes one compile, not several
-``exec`` calls and an ``inspect.signature``, and classes with the same field
-layout share it.  ``__dataclass_fields__`` lets ``dataclasses.is_dataclass``,
+mutable record is unhashable.  A record is exactly its fields: each is an
+``__init__`` argument, with at most a plain class-level default, and each
+is printed, compared and hashed.  State derived from the fields, such as
+a cache or an index, is a plain attribute that ``__post_init__`` sets
+(through ``object.__setattr__`` on a frozen record); it takes no part in
+the record's text, equality or hash.  Each method does what the one
+``dataclasses`` writes does, and runs at least as fast, because it is
+generated source too; but a class takes one compile, not several ``exec``
+calls and an ``inspect.signature``, and classes with the same field layout
+share it.  ``__dataclass_fields__`` lets ``dataclasses.is_dataclass``,
 ``replace`` and ``fields`` take records.
 
-Not supported, because no record needs them: fields inherited from a
-record base, ``ClassVar`` and ``InitVar``, keyword-only fields, ordering,
-``__slots__``, and a docstring derived from the signature.
+Not supported, because no record needs them: ``dataclasses.field`` and
+its options, fields inherited from a record base, ``ClassVar`` and
+``InitVar``, keyword-only fields, ordering, ``__slots__``, and a docstring
+derived from the signature.
 """
 
 import sys
 
 MISSING = object()
-# The default of a parameter whose field has a factory; it prints as in
-# the signatures dataclasses writes.
-_FACTORY = type("Factory", (), {"__repr__": lambda self: "<factory>"})()
 
 
 class FrozenInstanceError(AttributeError):
@@ -33,24 +35,20 @@ class FrozenInstanceError(AttributeError):
 
 
 class Field:
-    """One field: what ``dataclasses.field`` records, for the keywords
-    :func:`field` takes."""
+    """One field: its name, its annotation and its default, if any; what
+    ``dataclasses.fields`` and ``replace`` read of a field."""
 
-    __slots__ = ("name", "type", "default", "default_factory", "init", "repr", "compare")
+    __slots__ = ("name", "type", "default")
+    init = True  # every field is an __init__ argument
 
-    def __init__(self, *, default=MISSING, default_factory=MISSING, init=True, repr=True, compare=True):
-        self.name = self.type = None
-        self.default, self.default_factory = default, default_factory
-        self.init, self.repr, self.compare = init, repr, compare
+    def __init__(self, name: str, type, default=MISSING):
+        self.name, self.type, self.default = name, type, default
 
     @property
     def _field_type(self):
         # The marker that dataclasses.fields() and replace() look for on a
         # plain field; only they read it, so dataclasses is imported.
         return sys.modules["dataclasses"]._FIELD
-
-
-field = Field
 
 
 def _frozen_setattr(self, name, value):
@@ -65,37 +63,26 @@ _CODE: dict = {}  # generated source -> its code object, shared by equal layouts
 
 
 def _methods(fields: list, frozen: bool, post_init: bool) -> tuple[str, list]:
-    """The source of ``make(_set, _factory, ...)``, which returns the
-    record's ``__init__``, ``__repr__``, ``__eq__`` and ``__hash__``, and
-    the defaults and factories that ``make`` takes after its first two
-    parameters."""
-    params, body, names, values = ["self"], [], [], []
+    """The source of ``make(_set, ...)``, which returns the record's
+    ``__init__``, ``__repr__``, ``__eq__`` and ``__hash__``, and the
+    defaults that ``make`` takes after ``_set``."""
+    params, body, names, defaults = ["self"], [], [], []
     for f in fields:
-        n = value = f.name
-        if f.default_factory is not MISSING:
-            names.append(f"_f_{n}")
-            values.append(f.default_factory)
-            if f.init:
-                params.append(f"{n}=_factory")
-                value = f"_f_{n}() if {n} is _factory else {n}"
-            else:
-                value = f"_f_{n}()"
-        elif not f.init:
-            continue  # the class attribute or __post_init__ gives the value
-        elif f.default is not MISSING:
-            names.append(f"_d_{n}")
-            values.append(f.default)
-            params.append(f"{n}=_d_{n}")
-        else:
+        n = f.name
+        if f.default is MISSING:
             params.append(n)
-        body.append(f"_set(self, {n!r}, {value})" if frozen else f"self.{n} = {value}")
+        else:
+            names.append(f"_d_{n}")
+            defaults.append(f.default)
+            params.append(f"{n}=_d_{n}")
+        body.append(f"_set(self, {n!r}, {n})" if frozen else f"self.{n} = {n}")
     if post_init:
         body.append("self.__post_init__()")
-    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields if f.repr)
-    mine = "".join(f"self.{f.name}," for f in fields if f.compare)
+    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields)
+    mine = "".join(f"self.{f.name}," for f in fields)
     theirs = mine.replace("self.", "other.")
     source = "\n".join([
-        f"def make(_set, _factory, {', '.join(names)}):",
+        f"def make(_set, {', '.join(names)}):",
         f" def __init__({', '.join(params)}):",
         *(f"  {line}" for line in body or ["pass"]),
         " def __repr__(self):",
@@ -108,40 +95,32 @@ def _methods(fields: list, frozen: bool, post_init: bool) -> tuple[str, list]:
         f"  return hash(({mine}))",
         " return __init__, __repr__, __eq__, __hash__",
     ])
-    return source, values
+    return source, defaults
 
 
 def _build(cls, frozen: bool):
-    fields = {}
-    for name, annotation in cls.__dict__.get("__annotations__", {}).items():
-        f = cls.__dict__.get(name, MISSING)
-        if not isinstance(f, Field):
-            f = Field(default=f)
-        f.name, f.type = name, annotation
-        fields[name] = f
-        # The class keeps a plain default as an attribute, as dataclasses does.
-        if f.default is not MISSING:
-            setattr(cls, name, f.default)
-        elif name in cls.__dict__:
-            delattr(cls, name)
+    # A plain default stays a class attribute, as dataclasses leaves it.
+    fields = {
+        name: Field(name, annotation, cls.__dict__.get(name, MISSING))
+        for name, annotation in cls.__dict__.get("__annotations__", {}).items()
+    }
     listed = list(fields.values())
-    source, values = _methods(listed, frozen, hasattr(cls, "__post_init__"))
+    source, defaults = _methods(listed, frozen, hasattr(cls, "__post_init__"))
     code = _CODE.get(source)
     if code is None:
         code = _CODE[source] = compile(source, "<record>", "exec")
     namespace: dict = {}
     exec(code, {"__name__": cls.__module__}, namespace)
-    made = namespace["make"](object.__setattr__, _FACTORY, *values)
+    made = namespace["make"](object.__setattr__, *defaults)
     for fn in made:
         fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
-    init_fields = [f for f in listed if f.init]
-    made[0].__annotations__ = {f.name: f.type for f in init_fields} | {"return": None}
+    made[0].__annotations__ = {f.name: f.type for f in listed} | {"return": None}
     methods = dict(zip(("__init__", "__repr__", "__eq__", "__hash__"), made))
     if frozen:
         methods.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
     else:
         methods["__hash__"] = None
-    methods["__match_args__"] = tuple(f.name for f in init_fields)
+    methods["__match_args__"] = tuple(fields)
     for name, value in methods.items():
         if name not in cls.__dict__:
             setattr(cls, name, value)

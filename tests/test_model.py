@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from insiderctl.model import (
     ActorPsyState,
     AllAtAuthorized,
+    And,
     AtomicPolicy,
     CountAtLeast,
     FoeControl,
@@ -14,10 +15,17 @@ from insiderctl.model import (
     InfraGraph,
     InsiderDecl,
     IsIn,
+    HasRole,
     Location,
     ModelError,
     Not,
+    Or,
+    PAt,
+    PBool,
+    PEnables,
+    PInSet,
     Pred,
+    RequesterAt,
     StatePredicate,
     TrueCond,
     build_resolver,
@@ -27,6 +35,7 @@ from insiderctl.model import (
     tipping_point,
     vector_condition,
 )
+from insiderctl.modelfile import parse_model, serialize_model
 from insiderctl.airplane import (
     aid_graph,
     build_airplane_model,
@@ -268,10 +277,11 @@ class TestModelValidation:
 
     def test_clone_passes_every_constructor_argument(self):
         m = build_airplane_model("four_eyes").with_assumptions([cockpit_foe_control()])
-        fields = [f for f in dataclasses.fields(m) if f.init]
-        # Each argument differs from its default, so a dropped one shows.
+        fields = dataclasses.fields(m)
+        # Each argument differs from its default, so a dropped one shows; a
+        # mapping that defaults to None becomes an empty dict.
         for f in fields:
-            default = f.default_factory() if callable(f.default_factory) else f.default
+            default = {} if f.default is None else f.default
             assert getattr(m, f.name) != default, f.name
         clone = m._clone()
         assert [getattr(clone, f.name) for f in fields] == [getattr(m, f.name) for f in fields]
@@ -316,6 +326,38 @@ class TestModelValidation:
         loop = StatePredicate("loop", Not(Pred("loop")))
         with pytest.raises(ModelError, match="predicate 'loop' uses predicate 'loop'"):
             m._clone(named_predicates={**m.named_predicates, "loop": loop})
+
+    @pytest.mark.parametrize(
+        "atom",
+        [PEnables(cockpit, "Eve", "put"), PAt("Eve", cockpit), PInSet("Eve", "crew")],
+        ids=lambda atom: type(atom).__name__,
+    )
+    def test_a_condition_uses_only_condition_atoms(self, atom):
+        """A predicate's atom in a policy condition would crash exploration
+        and serialise to a document that does not parse."""
+        m = build_airplane_model("baseline")
+        pol = AtomicPolicy(And(PBool(True), Not(atom)), {"move"})
+        pmap = {**m.policy_map, cockpit: m.policies_at(cockpit) | {pol}}
+        message = f"policy condition uses {type(atom).__name__}, which is not a PolicyCondition"
+        with pytest.raises(ModelError, match=message):
+            m._clone(policy_variants={**m.policy_variants, "baseline": pmap})
+
+    @pytest.mark.parametrize(
+        "atom",
+        [RequesterAt(cabin), HasCred("PIN"), HasRole("pilot"), AllAtAuthorized(cockpit, {"Eve"})],
+        ids=lambda atom: type(atom).__name__,
+    )
+    def test_a_predicate_uses_only_predicate_atoms(self, atom):
+        m = build_airplane_model("baseline")
+        pred = StatePredicate("odd", Or(PBool(False), atom))
+        with pytest.raises(ModelError, match=f"predicate 'odd' uses {type(atom).__name__}, "):
+            m._clone(named_predicates={**m.named_predicates, "odd": pred})
+
+    def test_a_false_condition_round_trips(self):
+        m = build_airplane_model("baseline")
+        pmap = {**m.policy_map, door: m.policies_at(door) | {AtomicPolicy(PBool(False), {"eval"})}}
+        m = m._clone(policy_variants={**m.policy_variants, "baseline": pmap})
+        assert parse_model(serialize_model(m)) == m
 
     @pytest.mark.parametrize("kind", ["credentials", "roles"])
     def test_initial_snapshot_names_only_model_identities(self, kind):

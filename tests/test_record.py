@@ -45,14 +45,10 @@ GENERATED = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__del
 
 def twin(cls):
     """``cls`` rebuilt with stdlib dataclasses."""
-    specs = []
-    for f in cls.__dataclass_fields__.values():
-        kw = {"init": f.init, "repr": f.repr, "compare": f.compare}
-        if f.default is not record.MISSING:
-            kw["default"] = f.default
-        if f.default_factory is not record.MISSING:
-            kw["default_factory"] = f.default_factory
-        specs.append((f.name, f.type, dataclasses.field(**kw)))
+    specs = [
+        (f.name, f.type) if f.default is record.MISSING else (f.name, f.type, f.default)
+        for f in cls.__dataclass_fields__.values()
+    ]
     namespace = {
         name: value
         for name, value in vars(cls).items()
@@ -123,14 +119,8 @@ def samples():
 
 
 def rebuild(cls, obj):
-    """A new ``cls`` from ``obj``'s arguments; an argument that has a
-    default and takes no part in comparison holds derived data, and is
-    left out."""
-    return cls(**{
-        f.name: getattr(obj, f.name)
-        for f in cls.__dataclass_fields__.values()
-        if f.init and (f.compare or (f.default, f.default_factory) == (record.MISSING,) * 2)
-    })
+    """A new ``cls`` from ``obj``'s fields."""
+    return cls(**{name: getattr(obj, name) for name in cls.__dataclass_fields__})
 
 
 def outcome(make):
@@ -173,7 +163,7 @@ def test_record_matches_its_dataclass_twin(cls, samples):
     required = {
         f.name: getattr(obj, f.name)
         for f in cls.__dataclass_fields__.values()
-        if f.init and f.default is record.MISSING and f.default_factory is record.MISSING
+        if f.default is record.MISSING
     }
     assert outcome(lambda: cls(**required)) == outcome(lambda: other(**required))
 
@@ -186,11 +176,11 @@ def test_dataclasses_functions_take_records(cls, samples):
     # ActorResolver rebuilds its tables from its classes.
     replaced = outcome(lambda: dataclasses.replace(obj))
     assert replaced == outcome(lambda: dataclasses.replace(rebuild(other, obj)))
-    # A field outside __init__ cannot be replaced (ValueError, from 3.13 TypeError).
-    for name in [f.name for f in cls.__dataclass_fields__.values() if not f.init]:
-        refused = outcome(lambda: dataclasses.replace(obj, **{name: None}))
-        assert refused[0] in ("ValueError", "TypeError")
-        assert refused == outcome(lambda: dataclasses.replace(rebuild(other, obj), **{name: None}))
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_field_is_a_constructor_argument(cls):
+    assert list(cls.__dataclass_fields__) == list(inspect.signature(cls).parameters)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

@@ -60,6 +60,9 @@ CASES = [
     ("duplicate identity", BASE + "identities\n  Ann\n"),
     ("duplicate identity on one line", "locations\n  a 0\nidentities\n  Ann Ann\n"),
     ("duplicate placement", BASE + "placements\n  a: Ann\n  a: Ben\n"),
+    ("duplicate set", BASE + "sets\n  crew = Ann\n  crew = Ben\n"),
+    ("duplicate value", BASE + "values\n  a = x\n  a = y\n"),
+    ("duplicate alphabet", BASE + "alphabets\n  a: x\n  a: y\n"),
     ("duplicate predicate", BASE + "predicates\n  p := true\n  p := false\n"),
     # Unknown names.
     ("unknown location in edges", BASE + "edges\n  a -> c\n"),
