@@ -12,10 +12,10 @@ from insiderctl.model import (
     CountAtLeast,
     FoeControl,
     HasCred,
+    HasRole,
     InfraGraph,
     InsiderDecl,
     IsIn,
-    HasRole,
     Location,
     ModelError,
     Not,
