@@ -35,13 +35,13 @@ class FrozenInstanceError(AttributeError):
 
 
 class Field:
-    """One field: its name, its annotation and its default, if any; what
+    """One field: its name, its annotation and its default (``MISSING`` if none); what
     ``dataclasses.fields`` and ``replace`` read of a field."""
 
     __slots__ = ("name", "type", "default")
     init = True  # every field is an __init__ argument
 
-    def __init__(self, name: str, type, default=MISSING):
+    def __init__(self, name: str, type, default):
         self.name, self.type, self.default = name, type, default
 
     @property
