@@ -104,7 +104,7 @@ def _cmd_reach(args) -> int:
     model = _load_model(args)
     kripke = reachable(model, max_states=args.max_states)
     print(f"states: {len(kripke.states)}")
-    print(f"edges: {sum(len(e) for e in kripke.edges)}")
+    print(f"edges: {len(kripke.targets)}")
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:

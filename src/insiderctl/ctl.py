@@ -64,37 +64,64 @@ class TraceError(ValueError):
 # Kripke structures
 
 
+class OutEdges:
+    """State ``i``'s out-edges, read-only, over a :class:`KripkeModel`'s flat
+    lists: it iterates as ``(label, j)`` pairs and equals the list of them."""
+
+    __slots__ = ("labels", "targets", "start", "stop")
+
+    def __init__(self, labels: list, targets: list, start: int, stop: int) -> None:
+        self.labels, self.targets, self.start, self.stop = labels, targets, start, stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __iter__(self):
+        return zip(self.labels[self.start : self.stop], self.targets[self.start : self.stop])
+
+    def __getitem__(self, i):
+        return [*self][i]
+
+    def __eq__(self, other) -> bool:
+        return [*self] == ([*other] if type(other) is OutEdges else other)
+
+
 @record
 class KripkeModel:
     """Reachable state set (state vectors) with labelled edges and initial
     states.
 
     Always built by :func:`reachable`, which numbers states in discovery
-    order.  The constructor checks, in the one pass that builds the
-    predecessor index (:meth:`backward`), that every edge targets a state
-    and that every state outside ``init`` has a predecessor with a lower
-    number; so every state is reachable, and the state list is exactly the
-    closure of the initial states.  :meth:`graph` builds a state's snapshot
-    and :meth:`label` a predicate's satisfying set, each cached on first
-    request.  ``index`` maps each state's vector to its number.
+    order.  Edges are compressed sparse rows: state ``i``'s are ``labels[a:b]``
+    to ``targets[a:b]`` for ``a, b = offsets[i], offsets[i + 1]``, viewed by
+    :attr:`edges` as rows of pairs.  The constructor checks, in the one pass
+    that builds the predecessor index (:meth:`backward`), that every edge
+    targets a state and that every state outside ``init`` has a predecessor
+    with a lower number; so every state is reachable, and the state list is
+    exactly the closure of the initial states.  :meth:`graph` builds a
+    state's snapshot on each request, :meth:`label` a predicate's
+    satisfying set on first.  ``index`` maps each vector to its number.
     """
 
     model: Model
     states: list[tuple]
-    edges: list[list[tuple[TransitionLabel, int]]]
+    targets: list[int]
+    labels: list[TransitionLabel]
+    offsets: list[int]
     init: frozenset[int]
     index: dict
 
     def __post_init__(self) -> None:
-        self._graphs, self._labels = {}, {}  # the caches of graph() and label()
-        n = len(self.states)
-        if len(self.edges) != n:
+        self._sat = {}  # the cache of label()
+        n, targets, offsets = len(self.states), self.targets, self.offsets
+        ends = (offsets[0], offsets[-1], len(self.labels)) if len(offsets) == n + 1 else None
+        if ends != (0, len(targets), len(targets)):
             raise ModelError("inconsistent Kripke payload lengths")
         if not self.init or any(i not in range(n) for i in self.init):
             raise ModelError("initial states must be a non-empty subset of the state set")
         preds, degree, known = [[] for _ in range(n)], [], range(n)
-        for i, out in enumerate(self.edges):
-            succ = {j for _, j in out}
+        for i in range(n):
+            succ = set(targets[offsets[i] : offsets[i + 1]])
             degree.append(len(succ))
             for j in succ:
                 if j not in known:
@@ -107,14 +134,17 @@ class KripkeModel:
                 )
         self._backward = tuple(map(tuple, preds)), tuple(degree)
 
+    @property
+    def edges(self) -> list[OutEdges]:
+        """Each state's out-edges, in state order; built on each request."""
+        labels, targets, offsets = self.labels, self.targets, self.offsets
+        return [OutEdges(labels, targets, a, b) for a, b in zip(offsets, offsets[1:])]
+
     def graph(self, i: int) -> InfraGraph:
         """The validated snapshot of state ``i``: for the initial state
-        ``model.initial``, for any other built from its vector on first
+        ``model.initial``, for any other built from its vector on each
         request."""
-        graph = self._graphs.get(i)
-        if graph is None:
-            graph = self._graphs[i] = tables(self.model).graph(self.states[i])
-        return graph
+        return self.model.initial if i == 0 else tables(self.model).graph(self.states[i])
 
     @property
     def graphs(self) -> list[InfraGraph]:
@@ -126,7 +156,7 @@ class KripkeModel:
         return frozenset(range(len(self.states)))
 
     def successors_of(self, i: int) -> list[int]:
-        return [j for _, j in self.edges[i]]
+        return self.targets[self.offsets[i] : self.offsets[i + 1]]
 
     def backward(self) -> tuple[tuple, tuple]:
         """Each state's distinct predecessors, in ascending order, and its
@@ -135,41 +165,43 @@ class KripkeModel:
 
     def label(self, name: str) -> frozenset[int]:
         """The states where the named predicate holds; computed on first use."""
-        sat = self._labels.get(name)
+        sat = self._sat.get(name)
         if sat is None:
             holds = tables(self.model).predicate(name)
             sat = frozenset([i for i, v in enumerate(self.states) if holds(v, None)])
-            self._labels[name] = sat
+            self._sat[name] = sat
         return sat
 
 
 class Exploration:
     """Breadth-first search over state vectors from ``model.initial``:
     ``states`` in discovery order, ``index`` from vector to position, and
-    the labelled ``edges`` of the states expanded so far."""
+    the labelled edges of the states expanded so far, laid out as in
+    :class:`KripkeModel`."""
 
-    __slots__ = ("model", "states", "index", "edges", "max_states")
+    __slots__ = ("model", "states", "index", "targets", "labels", "offsets", "max_states")
 
     def __init__(self, model: Model, max_states: int | None = None):
-        self.model, self.max_states, self.edges = model, max_states, []
-        self.states = [encode(model, model.initial)]
+        self.model, self.max_states, self.states = model, max_states, [encode(model, model.initial)]
+        self.targets, self.labels, self.offsets = [], [], [0]
         self.index = {self.states[0]: 0}
 
     def discover(self):
         """Yield ``(j, i, label)`` as state ``j`` is first reached, from ``i``."""
         model, states, index, cap = self.model, self.states, self.index, self.max_states
+        add_target, add_label = self.targets.append, self.labels.append
         for i, v in enumerate(states):  # the list grows while it is walked
-            out: list = []
-            self.edges.append(out)
             for label, succ in successors(model, v):
-                j = index.get(succ)
+                j = i if succ is v else index.get(succ)
                 if j is None:
                     if cap is not None and len(states) >= cap:
                         raise ExplorationLimitError(f"state space exceeds the cap of {cap} states")
                     j = index[succ] = len(states)
                     states.append(succ)
                     yield j, i, label
-                out.append((label, j))
+                add_target(j)
+                add_label(label)
+            self.offsets.append(len(self.targets))
 
 
 def reachable(model: Model, *, max_states: int | None = None) -> KripkeModel:
@@ -180,9 +212,7 @@ def reachable(model: Model, *, max_states: int | None = None) -> KripkeModel:
     x = Exploration(model, max_states)
     for _ in x.discover():
         pass
-    k = KripkeModel(model, x.states, x.edges, frozenset({0}), x.index)
-    k._graphs[0] = model.initial
-    return k
+    return KripkeModel(model, x.states, x.targets, x.labels, x.offsets, frozenset({0}), x.index)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +413,10 @@ def _check_reference(k, formula, quant, kind, a, b, result) -> None:
     """Debug mode: ``result`` must equal the fixpoint of ``formula``'s set transformer
     over the labelled edges (monotone by construction)."""
 
+    rows = list(map(k.successors_of, range(len(k.states))))
+
     def step(z, test=any if quant == "E" else all):  # EX z or AX z
-        return frozenset(i for i, out in enumerate(k.edges) if test(j in z for _, j in out))
+        return frozenset(i for i, js in enumerate(rows) if test(map(z.__contains__, js)))
 
     universe = k.universe
     if kind == "X":
@@ -443,10 +475,10 @@ def shortest_path(
 def _breadth_first(k: KripkeModel, sources):
     """Yield ``(j, i, label)`` as state ``j`` is first reached, from ``i``,
     breadth-first from the sorted ``sources`` along ``k``'s edges."""
-    order = sorted(sources)
+    order, edges = sorted(sources), k.edges
     seen = set(order)
     for i in order:  # the list grows while it is walked
-        for label, j in k.edges[i]:
+        for label, j in edges[i]:
             if j not in seen:
                 seen.add(j)
                 order.append(j)
@@ -563,19 +595,24 @@ def _dot_text(text: str) -> str:
 
 def dot_export(k: KripkeModel) -> str:
     """GraphViz rendering with stable node and edge ordering."""
-    lines = ["digraph kripke {", "  rankdir=LR;", '  node [shape=box fontname="monospace"];']
+    chunks = ['digraph kripke {\n  rankdir=LR;\n  node [shape=box fontname="monospace"];\n']
     describe = tables(k.model).describe
     for i, v in enumerate(k.states):
         desc = _dot_text(describe(v)).replace(" | ", "\\n")
         extra = " penwidth=2" if i in k.init else ""
-        lines.append(f'  s{i} [label="s{i}\\n{desc}"{extra}];')
-    # Edges share interned labels, so each label is formatted once.
-    texts: dict[int, str] = {}
-    for i, out in enumerate(k.edges):
-        for label, j in out:
-            text = texts.get(id(label))
-            if text is None:
-                text = texts[id(label)] = _dot_text(str(label))
-            lines.append(f'  s{i} -> s{j} [label="{text}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        chunks.append(f'  s{i} [label="s{i}\\n{desc}"{extra}];\n')
+    # Labels (interned) and state numbers are formatted once each; each
+    # state's edge lines are joined into one chunk, which bounds the peak.
+    tails: dict[int, str] = {}
+    labels, targets, offsets = k.labels, k.targets, k.offsets
+    names = [str(j) for j in range(len(k.states))]
+    for i in range(len(k.states)):
+        head, lines, a, b = f"  s{i} -> s", [], offsets[i], offsets[i + 1]
+        for label, j in zip(labels[a:b], targets[a:b]):
+            tail = tails.get(id(label))
+            if tail is None:
+                tail = tails[id(label)] = f' [label="{_dot_text(str(label))}"];\n'
+            lines.append(f"{head}{names[j]}{tail}")
+        chunks.append("".join(lines))
+    chunks.append("}\n")
+    return "".join(chunks)

@@ -107,7 +107,8 @@ def source(t: Tables) -> tuple:
         if moves:
             body += [f"if x{p} in {set(t.targets)}:", f" b = v[:{p}]", f" e = v[{p + 1}:]"]
         for k, g in moves:
-            line = f'a((G(q := ("move", {p}, x{p}, {k})) or N(q), b + ({k},) + e))'
+            succ = f"v if x{p} == {k} else b + ({k},) + e"  # a move in place leaves v
+            line = f'a((G(q := ("move", {p}, x{p}, {k})) or N(q), {succ}))'
             body.append(f" {line}" if g is True else f" if {g}: {line}")
 
     for p, rep in enumerate(reps):
@@ -131,8 +132,9 @@ def source(t: Tables) -> tuple:
     for k in t.writable:  # s{k}: the successors writing each value at k
         holds = _join(" or ", [guards.get(("put", k, rep), False) for rep in classes])
         if holds is not False:
-            values = "".join(f"b + ({const(x)},) + e, " for x in t.alphabet[k])
-            lines = [f"b = v[:{3 * n + k}]", f"e = v[{3 * n + k + 1}:]", f"s{k} = ({values})"]
+            j, cs = 3 * n + k, map(const, t.alphabet[k])  # putting the current value u leaves v
+            values = "".join(f"v if u == {c} else b + ({c},) + e, " for c in cs)
+            lines = [f"u = v[{j}]", f"b = v[:{j}]", f"e = v[{j + 1}:]", f"s{k} = ({values})"]
             body += lines if holds is True else [f"if {holds}:", *(" " + x for x in lines)]
     for rule in ("put", "put_remote"):
         for p, rep in enumerate(reps):

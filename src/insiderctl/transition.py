@@ -89,7 +89,7 @@ def successors(model: Model, v: tuple) -> list:
     instance from the state vector ``v``, in deterministic order.  Each
     successor replaces one slot of ``v``; a no-op instance (a move to the
     current location, a credential already held, the current value) leads
-    to an equal vector.  Labels are interned in ``tables(model).labels``."""
+    to ``v`` itself.  Labels are interned in ``tables(model).labels``."""
     t = tables(model)
     if t.step is not None:
         return t.step(v)
@@ -123,8 +123,9 @@ def _successors(t: Tables, v: tuple) -> list:
             if ks is None:
                 ks = moves[rep] = [k for k in targets if moving[k] and moving[k](v, rep)]
             for dst in ks:
+                succ = v if dst == src else v[:p] + (dst,) + v[p + 1 :]
                 key = ("move", p, src, dst)
-                append((labels.get(key) or label_of(key), v[:p] + (dst,) + v[p + 1 :]))
+                append((labels.get(key) or label_of(key), succ))
 
     for p in range(n):
         k = v[p]

@@ -120,10 +120,11 @@ def test_c06_two_person_invariant(four_eyes_kripke, assumed_kripke):
 
 
 def _sweep_preservation(k):
-    base = k.graphs[0]
-    for i in range(len(k.graphs)):
-        for _, j in k.edges[i]:
-            succ = k.graphs[j]
+    graphs, edges = k.graphs, k.edges  # each read builds them anew
+    base = graphs[0]
+    for out in edges:
+        for _, j in out:
+            succ = graphs[j]
             assert succ.edges == base.edges
             assert set(succ.actors()) == set(base.actors())
             placed = list(succ.actors())
@@ -155,15 +156,11 @@ def test_c09_fixpoint_properties(baseline_kripke, four_eyes_kripke, assumed_krip
     with criterion(9, "fixpoint bounds, chain monotonicity, duality, EF oracle"):
         airplane_kripkes = (baseline_kripke, four_eyes_kripke, assumed_kripke)
 
-        def ex_step(k, z):
-            return frozenset(
-                i for i in range(len(k.states)) if any(j in z for _, j in k.edges[i])
-            )
+        def ex_step(k, z):  # k.edges is built on each read, so it is read once
+            return frozenset(i for i, out in enumerate(k.edges) if any(j in z for _, j in out))
 
         def ax_step(k, z):
-            return frozenset(
-                i for i in range(len(k.states)) if all(j in z for _, j in k.edges[i])
-            )
+            return frozenset(i for i, out in enumerate(k.edges) if all(j in z for _, j in out))
 
         for k in airplane_kripkes:
             universe = k.universe

@@ -1,8 +1,10 @@
+import gc
 import os
 import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,7 @@ from insiderctl.airplane import (
 from insiderctl.formula import parse_formula
 from insiderctl.modelfile import parse_model
 
+from genmodels import with_passengers
 from oracles import backward_closure
 
 BASELINE_STATES = 243  # frozen from the naive breadth-first oracle
@@ -52,6 +55,15 @@ def with_constants(model):
     preds["always"] = StatePredicate("always", PBool(True))
     preds["never"] = StatePredicate("never", PBool(False))
     return model._clone(named_predicates=preds)
+
+
+def flat(edges) -> tuple:
+    """``edges``, one list of ``(label, j)`` pairs per state, as a
+    :class:`KripkeModel`'s ``targets``, ``labels`` and ``offsets``."""
+    pairs, offsets = [pair for out in edges for pair in out], [0]
+    for out in edges:
+        offsets.append(offsets[-1] + len(out))
+    return [j for _, j in pairs], [label for label, _ in pairs], offsets
 
 
 class TestEncode:
@@ -127,7 +139,7 @@ class TestReachable:
     def test_non_closed_payload_rejected(self, baseline_kripke):
         k = baseline_kripke
         with pytest.raises(ModelError, match="state 1 is not initial"):
-            KripkeModel(k.model, k.states, [[] for _ in k.states], k.init, k.index)
+            KripkeModel(k.model, k.states, *flat([[] for _ in k.states]), k.init, k.index)
 
     def test_closed_payload_out_of_discovery_order_rejected(self, baseline_kripke):
         """Renumbered in reverse, every state is still reachable from the
@@ -136,7 +148,7 @@ class TestReachable:
         edges = [[(label, n - 1 - j) for label, j in out] for out in reversed(k.edges)]
         index = {v: n - 1 - i for v, i in k.index.items()}
         with pytest.raises(ModelError, match="no predecessor with a lower number"):
-            KripkeModel(k.model, k.states[::-1], edges, frozenset({n - 1}), index)
+            KripkeModel(k.model, k.states[::-1], *flat(edges), frozenset({n - 1}), index)
 
     @pytest.mark.parametrize("target", ["n", -1])
     @pytest.mark.parametrize("unreached", [False, True], ids=["from s0", "from an unreached state"])
@@ -150,7 +162,42 @@ class TestReachable:
         label = k.edges[0][0][0]
         edges[-1 if unreached else 0].append((label, n if target == "n" else target))
         with pytest.raises(ModelError, match="targets unknown state"):
-            KripkeModel(k.model, states, edges, k.init, k.index)
+            KripkeModel(k.model, states, *flat(edges), k.init, k.index)
+
+
+class TestMemory:
+    """Deterministic guards on the Kripke store's memory: tracemalloc
+    counts bytes, where times vary by host."""
+
+    @pytest.fixture(scope="class")
+    def three(self, baseline_model):
+        model = with_passengers(baseline_model, 3)
+        reachable(model)  # the model's tables and next-state function, outside the count
+        return model
+
+    @staticmethod
+    def traced(make):
+        """``make()``, the bytes it leaves allocated, and its peak."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            made = make()
+            gc.collect()
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return made, now - before, peak - before
+
+    def test_reachable_keeps_at_most_48_bytes_per_labelled_edge(self, three):
+        k, kept, _ = self.traced(lambda: reachable(three))
+        assert len(k.states) == 1944
+        assert kept <= 48 * sum(len(out) for out in k.edges)
+
+    def test_dot_export_peaks_below_2_3_times_its_output(self, three):
+        k = reachable(three)
+        text, _, peak = self.traced(lambda: dot_export(k))
+        assert peak <= 2.3 * len(text)
 
 
 class TestFixpoints:

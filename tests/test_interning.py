@@ -83,20 +83,20 @@ def test_state_keys_equal_fresh_encodings(explored):
 def test_snapshots_on_request_round_trip(explored):
     for name, k in explored:
         assert k.graph(0) == k.model.initial
+        graphs = k.graphs  # built anew on each read, as each k.graph(i) is
         for i, v in enumerate(k.states):
             graph = k.graph(i)
-            assert graph is k.graph(i)
+            assert graph == graphs[i]
             assert graph == fresh(graph), (name, i)
             assert encode(k.model, fresh(graph)) == v, (name, i)
-        assert k.graphs == [k.graph(i) for i in range(len(k.states))]
 
 
 def test_compiled_predicates_agree_with_eval_predicate(explored):
     """The compiled predicates, and ``eval_predicate`` on each snapshot,
     against the naive oracle."""
     for name, k in explored:
-        t, reps = tables(k.model), o_reps(k.model)
-        worlds = [o_world(graph) for graph in k.graphs]
+        t, reps, graphs = tables(k.model), o_reps(k.model), k.graphs  # built on each read
+        worlds = [o_world(graph) for graph in graphs]
         for pname, pred in k.model.named_predicates.items():
             args = [None] if pred.param is None else sorted(k.model.identities) + ["Nobody"]
             for arg in args:
@@ -104,7 +104,7 @@ def test_compiled_predicates_agree_with_eval_predicate(explored):
                 for i, v in enumerate(k.states):
                     expected = o_predicate(pred, worlds[i], reps, k.model, arg)
                     assert compiled(v, None) == expected, (name, pname, arg, i)
-                    assert eval_predicate(pred, k.model, k.graph(i), arg) == expected
+                    assert eval_predicate(pred, k.model, graphs[i], arg) == expected
 
 
 def test_predicate_errors_are_model_errors(baseline_kripke):

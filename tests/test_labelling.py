@@ -1,6 +1,7 @@
 """The linear-time labeller against its fixpoint reference, the on-the-fly
-witness against ``extract_trace`` on the whole structure, and the absence
-of reference cycles in what the engine returns.
+witness against ``extract_trace`` on the whole structure, the absence
+of reference cycles in what the engine returns, and the rows of edges
+that the labeller's index is built from.
 
 The labeller runs three primitives over the predecessor index and derives
 the other seven operators by duality; ``debug=True`` also iterates each
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from genmodels import random_model, with_false_predicates
+from genmodels import random_model, with_false_predicates, with_passengers
 from insiderctl import airplane
 from insiderctl.cli import run_command
 from insiderctl.ctl import (
@@ -42,6 +43,7 @@ from insiderctl.ctl import (
 )
 from insiderctl.model import And, Not, Or, PAt, StatePredicate
 from insiderctl.modelfile import parse_model, serialize_model
+from insiderctl.transition import successors
 
 UNARY = (EX, AX, EF, AF, EG, AG)
 BINARY = (EU, AU, ER, AR)
@@ -87,6 +89,14 @@ def random_kripkes(random_models):
     return [(seed, reachable(model)) for seed, model in random_models]
 
 
+@pytest.fixture(scope="module")
+def row_kripkes(random_kripkes):
+    """The random structures and the airplane with 0-2 extra passengers."""
+    baseline = airplane.build_airplane_model("baseline")
+    extra = [(f"+{n}pax", reachable(with_passengers(baseline, n))) for n in range(3)]
+    return random_kripkes + extra
+
+
 def test_seeds_include_deadlocks(random_kripkes):
     deadlocking = [seed for seed, k in random_kripkes if any(not out for out in k.edges)]
     assert len(deadlocking) == 74
@@ -119,10 +129,8 @@ def test_deadlocks_satisfy_every_ax_af_and_ag_of_what_holds_there(random_kripkes
 
 
 def test_index_is_built_once(baseline_kripke):
-    k = KripkeModel(
-        baseline_kripke.model, baseline_kripke.states, baseline_kripke.edges,
-        baseline_kripke.init, baseline_kripke.index,
-    )
+    b = baseline_kripke
+    k = KripkeModel(b.model, b.states, b.targets, b.labels, b.offsets, b.init, b.index)
     preds, degree = k.backward()
     assert k.backward()[0] is preds and k.backward()[1] is degree
     assert k.label("eve_ok") is k.label("eve_ok")
@@ -134,14 +142,38 @@ def test_index_is_built_once(baseline_kripke):
     assert all(len(set(p)) == len(p) for p in preds)
 
 
-def test_index_equals_a_naive_recomputation(random_kripkes):
-    for seed, k in random_kripkes:
+def test_index_equals_a_naive_recomputation(row_kripkes):
+    for seed, k in row_kripkes:
         succ = [{j for _, j in out} for out in k.edges]
         preds = [set() for _ in k.states]
         for i, js in enumerate(succ):
             for j in js:
                 preds[j].add(i)
         assert k.backward() == (tuple(tuple(sorted(p)) for p in preds), tuple(map(len, succ))), seed
+
+
+def test_rows_are_the_successors_in_order(row_kripkes):
+    """``k.edges`` views the flat edge lists as one row per state."""
+    for name, k in row_kripkes:
+        for v, out in zip(k.states, k.edges):
+            assert out == [(label, k.index[s]) for label, s in successors(k.model, v)], name
+
+
+def test_rows_behave_like_lists(row_kripkes):
+    """A row behaves like the list of ``(label, j)`` pairs it stands for,
+    and ``k.edges`` is a list built on each read."""
+    for name, k in row_kripkes:
+        edges, n = k.edges, len(k.states)
+        lists = [list(out) for out in edges]
+        assert type(edges) is list and edges == lists and lists == edges and not edges != lists
+        for out, pairs in zip(edges, lists):
+            assert len(out) == len(pairs) and (None, n) not in out
+            if pairs:
+                assert (out[0], out[-1], out[1:]) == (pairs[0], pairs[-1], pairs[1:])
+                assert pairs[len(pairs) // 2] in out
+            with pytest.raises(IndexError):
+                out[len(pairs)]
+        assert edges.pop() == lists.pop() and len(edges) == n - 1 and len(k.edges) == n
 
 
 # ---------------------------------------------------------------------------

@@ -171,10 +171,11 @@ class TestGetRule:
 
 class TestPreservation:
     def sweep(self, kripke):
-        base = kripke.graphs[0]
-        for i, graph in enumerate(kripke.graphs):
-            for label, j in kripke.edges[i]:
-                succ = kripke.graphs[j]
+        graphs, edges = kripke.graphs, kripke.edges  # each read builds them anew
+        base = graphs[0]
+        for i, graph in enumerate(graphs):
+            for label, j in edges[i]:
+                succ = graphs[j]
                 assert succ.edges == base.edges
                 assert set(succ.actors()) == set(base.actors())
 
@@ -185,11 +186,11 @@ class TestPreservation:
         self.sweep(four_eyes_kripke)
 
     def test_two_person_occupancy_preserved(self, four_eyes_kripke):
-        k = four_eyes_kripke
-        for i, graph in enumerate(k.graphs):
+        graphs, edges = four_eyes_kripke.graphs, four_eyes_kripke.edges
+        for i, graph in enumerate(graphs):
             if len(graph.placement(cockpit)) >= 2:
-                for _, j in k.edges[i]:
-                    assert len(k.graphs[j].placement(cockpit)) >= 2
+                for _, j in edges[i]:
+                    assert len(graphs[j].placement(cockpit)) >= 2
 
     def test_random_models_match_naive_oracle(self):
         for seed in range(12):
@@ -198,11 +199,10 @@ class TestPreservation:
 
             kripke = reachable(model, max_states=20000)
             worlds, adjacency = o_reach(model)
-            assert {o_world(g) for g in kripke.graphs} == worlds
-            for i, graph in enumerate(kripke.graphs):
-                assert {o_world(kripke.graphs[j]) for _, j in kripke.edges[i]} == adjacency[
-                    o_world(graph)
-                ]
+            graphs, edges = kripke.graphs, kripke.edges
+            assert {o_world(g) for g in graphs} == worlds
+            for i, graph in enumerate(graphs):
+                assert {o_world(graphs[j]) for _, j in edges[i]} == adjacency[o_world(graph)]
 
 
 class TestLint:
