@@ -18,6 +18,7 @@ stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .ctl import (
@@ -171,6 +172,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # one per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="insiderctl",

@@ -23,7 +23,7 @@ state vector and says what each atom means: :func:`enables`,
 ``nextstate._cond``, which writes the same meaning into the generated
 next-state function; ``tests/test_nextstate.py`` checks that the two agree.
 Each check of a model's names has one owner here, which :class:`Model` and
-the document reader both run: a record's constructor or a ``check_`` function.
+the document reader each run once: a record's constructor or a ``check_`` function.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -313,12 +313,16 @@ class Parser:
     PREFIX = {"!": Not}
 
     def __init__(self, text: str):
-        self.text, self.tokens, self.starts, self.i = text, [], [], 0
-        for m in self.TOKEN.finditer(text):
-            if m.group(3):
-                raise self.error(m.start(3), f"unexpected character {m.group(3)!r}")
-            self.tokens.append(m.group(1) or m.group(2))
-            self.starts.append(m.start(m.lastindex))
+        self.text, self.i = text, 0
+        self.tokens = [word or mark for word, mark, _ in self.TOKEN.findall(text)]
+        if "" in self.tokens:  # a stray character, which neither group matched
+            pos = self.start(self.tokens.index(""))
+            raise self.error(pos, f"unexpected character {text[pos]!r}")
+
+    def start(self, k: int) -> int:
+        """Where token ``k`` starts; only an error needs it."""
+        m = list(self.TOKEN.finditer(self.text))[k]
+        return m.start(m.lastindex)
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -332,7 +336,7 @@ class Parser:
 
     def fail(self, message: str):
         """Raise ``message`` at the token just read."""
-        raise self.error(self.starts[self.i - 1], message)
+        raise self.error(self.start(self.i - 1), message)
 
     def expect(self, text: str) -> None:
         tok = self.next()
@@ -342,7 +346,7 @@ class Parser:
     def parse(self):
         e = self.expr()
         if self.peek() is not None:
-            raise self.error(self.starts[self.i], f"unexpected trailing {self.peek()!r}")
+            raise self.error(self.start(self.i), f"unexpected trailing {self.peek()!r}")
         return e
 
     def expr(self):
@@ -613,35 +617,26 @@ class Model:
     assumptions: tuple[FoeControl, ...] = ()
 
     def __post_init__(self) -> None:
-        self.locations = tuple(by_id(self.locations))
+        self._normalise()
         if not self.locations:
             raise ModelError("a model needs at least one location")
         ids = [l.id for l in self.locations]
         names = [l.name for l in self.locations]
         if len(set(ids)) != len(ids) or len(set(names)) != len(names):
             raise ModelError("location ids and names must be unique")
-        self.edges = edge_set(self.edges)
-        self.identities = frozenset(self.identities)
         for ident in sorted(self.identities):
             check_name(ident, "identity")
         known = set(self.locations)
         for a, b in self.edges:
             if a not in known or b not in known:
                 raise ModelError(f"edge ({a}, {b}) references an unknown location")
-        alphabets = self.value_alphabet or {}
-        self.value_alphabet = {l: frozenset(v) for l, v in alphabets.items() if v}
         for loc in self.value_alphabet:
             if loc not in known:
                 raise ModelError(f"value alphabet for unknown location {loc}")
-        self.identity_sets = {n: frozenset(s) for n, s in (self.identity_sets or {}).items()}
         for name, members in self.identity_sets.items():
             stray = members - self.identities
             if stray:
                 raise ModelError(f"set {name!r} contains unknown identities {sorted(stray)!r}")
-        self.insiders = tuple(sorted(self.insiders, key=lambda d: d.id))
-        self.assumptions = tuple(
-            sorted(self.assumptions, key=lambda f: (f.location.id, f.action, f.foe))
-        )
         for fc in self.assumptions:
             if fc.location not in known:
                 raise ModelError(f"assumption references unknown location {fc.location}")
@@ -651,10 +646,6 @@ class Model:
             names = ", ".join(sorted(self.policy_variants))
             raise ModelError(f"model has no policy variant {self.variant!r}; available: {names}")
         names = known, self.identities, self.identity_sets
-        self.policy_variants = {
-            vname: {loc: frozenset(pols) for loc, pols in pmap.items() if pols}
-            for vname, pmap in self.policy_variants.items()
-        }
         for vname, pmap in self.policy_variants.items():
             for loc, policies in pmap.items():
                 if loc not in known:
@@ -666,9 +657,26 @@ class Model:
             check_value(loc, value, self.value_alphabet)
         if self.initial.edges != self.edges:
             raise ModelError("the initial snapshot's edges differ from the model's edges")
-        self.named_predicates = dict(self.named_predicates or {})
         for pred in self.named_predicates.values():
             check_predicate(pred, *names)
+
+    def _normalise(self) -> None:
+        """The fields in their canonical types and orders, and the resolver.
+        The document reader, which runs every check above, runs only this."""
+        self.locations = tuple(by_id(self.locations))
+        self.edges = edge_set(self.edges)
+        self.identities = frozenset(self.identities)
+        self.value_alphabet = {l: frozenset(v) for l, v in (self.value_alphabet or {}).items() if v}
+        self.identity_sets = {n: frozenset(s) for n, s in (self.identity_sets or {}).items()}
+        self.insiders = tuple(sorted(self.insiders, key=lambda d: d.id))
+        self.assumptions = tuple(
+            sorted(self.assumptions, key=lambda f: (f.location.id, f.action, f.foe))
+        )
+        self.policy_variants = {
+            vname: {loc: frozenset(pols) for loc, pols in pmap.items() if pols}
+            for vname, pmap in self.policy_variants.items()
+        }
+        self.named_predicates = dict(self.named_predicates or {})
         self.resolver = build_resolver(self.insiders, self.identities)
         self._tables = None  # built on first use by tables()
 

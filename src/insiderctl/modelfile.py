@@ -40,7 +40,7 @@ document (no location, an unknown default variant) name line 1.  Each check
 has one owner: the reader resolves names and checks what only a document
 has (shapes, duplicates, placements, ``default_policies``); for the rest it
 runs the record constructors and the ``check_`` functions of
-:mod:`insiderctl.model`, as ``Model`` does on every model.
+:mod:`insiderctl.model` once, and builds its ``Model`` without running them.
 
 ``serialize_model`` emits a canonical rendering (sections in canonical
 order, sorted entries), which ``parse_model`` reads back to an equal model
@@ -303,8 +303,8 @@ class _Reader:
         # Location -> alphabet, variant -> location -> policies, name -> predicate.
         self.value_alphabet, self.policy_variants, self.named_predicates = {}, {}, {}
         self.insiders, self.assumptions = [], []
-        # What check_atoms checks names against: the live tables above.
-        self.names = self.locations.values(), self.identities, self.identity_sets
+        # What check_atoms checks names against: the locations, and the live tables above.
+        self.names = set(), self.identities, self.identity_sets
 
     def fail(self, line: int, message: str) -> None:
         self.errors.append(Diagnostic(line, message))
@@ -386,7 +386,8 @@ class _Reader:
             self.expected(text)
         if name in self.locations or any(l.id == int(lid) for l in self.locations.values()):
             raise ModelError(f"duplicate location {name!r} / id {int(lid)}")
-        self.locations[name] = Location(int(lid), name)
+        self.locations[name] = loc = Location(int(lid), name)
+        self.names[0].add(loc)
 
     def read_edges(self, text: str) -> None:
         src, dst = self.words(text)
@@ -489,13 +490,17 @@ class _Reader:
         if self.errors:
             raise ModelParseError(self.errors)
         edges = frozenset(self.edges)  # one set, which the model and its snapshots share
-        return Model(
+        # Each entry passed Model's checks at its line: build it without them.
+        model = Model.__new__(Model)
+        vars(model).update(
             locations=self.locations.values(), edges=edges, identities=self.identities,
             initial=InfraGraph(edges, self.placements, self.credentials, self.roles, self.values),
             policy_variants=variants, variant=self.variant, value_alphabet=self.value_alphabet,
             insiders=self.insiders, identity_sets=self.identity_sets,
             named_predicates=self.named_predicates, assumptions=self.assumptions,
         )
+        model._normalise()
+        return model
 
 
 def parse_model(text: str) -> Model:

@@ -1,3 +1,5 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -364,3 +366,46 @@ def test_nesting_capacity(tmp_path, formula):
     result = run_module("check", str(path), formula)
     assert result.returncode in (0, 1), result.stderr
     assert result.stdout.rstrip().endswith((": holds", ": fails")), result.stdout[-200:]
+
+
+# The argvs that run_command must answer the same way whether it runs first
+# in a fresh process or after all the others: the paper's three queries,
+# every help text and each kind of usage error.
+SHARED_PARSER_ARGVS = [
+    ["--help"],
+    *([command, "--help"] for command in ("check", "reach", "witness", "risk", "door-sim")),
+    ["scenario", "--help"],
+    ["scenario", "export", "--help"],
+    [],
+    ["nonsense"],
+    ["check", MODEL],
+    ["reach", MODEL, "--bogus"],
+    ["check", MODEL, "AG eve_ok", "--max-states", "0"],
+    ["scenario", "export", "nope"],
+    ["witness", MODEL, "EF eve_violates"],
+    ["check", MODEL, "AG eve_ok", "--variant", "four_eyes", "--trace"],
+    ["check", MODEL, "AG eve_ok", "--variant", "four_eyes", "--assume", "foe:cockpit:put:Eve"],
+]
+
+
+@pytest.fixture(scope="module")
+def ran_every_argv():
+    """Run every argv once in this process, so that each test below runs
+    its argv after all the others; at another terminal width, so that no
+    help layout is fixed when the parser is built."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "40")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            for argv in SHARED_PARSER_ARGVS:
+                run_command(argv)
+
+
+def _argv_id(argv) -> str:
+    return " ".join("MODEL" if a == MODEL else a for a in argv) or "no arguments"
+
+
+@pytest.mark.parametrize("argv", SHARED_PARSER_ARGVS, ids=_argv_id)
+def test_in_process_run_matches_a_fresh_process(ran_every_argv, capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # the help layout follows the terminal width
+    fresh = run_module(*argv)
+    assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)

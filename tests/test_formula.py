@@ -55,6 +55,31 @@ class TestParse:
         with pytest.raises(FormulaParseError, match="position"):
             parse_formula(bad)
 
+    @pytest.mark.parametrize(
+        "bad, pos, message",
+        [
+            ("?a", 0, "unexpected character '?'"),
+            ("  ?a", 2, "unexpected character '?'"),
+            ("a ? b", 2, "unexpected character '?'"),
+            ("a ? b $", 2, "unexpected character '?'"),
+            ("& ?", 2, "unexpected character '?'"),
+            ("a & b?", 5, "unexpected character '?'"),
+            ("a b", 2, "unexpected trailing 'b'"),
+            ("AG a )", 5, "unexpected trailing ')'"),
+            ("E[a U b]]", 8, "unexpected trailing ']'"),
+            ("a &", 3, "unexpected end of formula"),
+            ("   ", 3, "unexpected end of formula"),
+            ("E[a X b]", 4, "expected 'U' or 'R', found 'X'"),
+            ("AG & x", 3, "unexpected '&'"),
+        ],
+    )
+    def test_error_position_and_message(self, bad, pos, message):
+        """A stray character is reported before any other fault, at its
+        position; the rest at the token at fault, or at the end."""
+        with pytest.raises(FormulaParseError) as err:
+            parse_formula(bad)
+        assert (err.value.pos, str(err.value)) == (pos, f"at position {pos}: {message}")
+
     def test_reserved_names_rejected_as_predicates(self):
         with pytest.raises(FormulaParseError):
             parse_formula("AG & x")

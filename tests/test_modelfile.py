@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from insiderctl import modelfile
+from insiderctl import model as model_module, modelfile
 from insiderctl.airplane import build_airplane_model
 from insiderctl.model import AllAtAuthorized, AtomicPolicy, InfraGraph, Location, Model, ModelError
 from insiderctl.modelfile import (
@@ -105,15 +105,19 @@ def _blocks(text: str) -> list[str]:
     return blocks
 
 
+def _documents() -> list[str]:
+    return [GOLDEN.read_text(encoding="utf-8")] + [
+        serialize_model(random_model(seed)) for seed in range(20)
+    ]
+
+
 class TestSectionOrder:
     def test_shuffled_sections_parse_to_the_same_model(self):
         """Whatever the order of its sections, a document parses to one
         model.  Each ``all_at_in`` list equal to a declared set is written
         as the set's name, so that a policy depends on ``sets``."""
-        docs = [GOLDEN.read_text(encoding="utf-8")]
-        docs += [serialize_model(random_model(seed)) for seed in range(20)]
         rng = random.Random(17)
-        for doc in docs:
+        for doc in _documents():
             for block in _blocks(doc):
                 if block.startswith("sets"):
                     for entry in block.splitlines()[1:]:
@@ -123,6 +127,41 @@ class TestSectionOrder:
             for _ in range(5):
                 rng.shuffle(blocks)
                 assert parse_model("\n".join(blocks) + "\n") == expected
+
+
+class TestOneCheckPerEntry:
+    """The reader runs each owner check at its entry's line, and builds its
+    model without running them again."""
+
+    def test_check_atoms_runs_once_per_policy_or_predicate(self, monkeypatch):
+        calls = []
+        counted = model_module.check_atoms
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "check_atoms", counting)
+        monkeypatch.setattr(modelfile, "check_atoms", counting)
+        for doc in _documents():
+            entries = sum(
+                1
+                for block in _blocks(doc)
+                if block.split()[0] in ("policies", "predicates")
+                for line in block.splitlines()[1:]
+                if line.strip()
+            )
+            calls.clear()
+            parse_model(doc)
+            assert len(calls) == entries
+
+    def test_the_parsed_model_is_the_one_the_constructor_builds(self):
+        for doc in _documents():
+            parsed = parse_model(doc)
+            built = Model(**{name: getattr(parsed, name) for name in Model.__dataclass_fields__})
+            assert parsed == built
+            assert parsed.resolver == built.resolver
+            assert serialize_model(built) == doc
 
 
 class TestDiagnostics:
