@@ -241,6 +241,26 @@ class TestFixpoints:
         with pytest.raises(MonotonicityError, match="lfp chain is not monotone"):
             lfp_iterate(shrinker, self.UNIVERSE)
 
+    def test_error_texts(self):
+        class Unequal(frozenset):
+            """A set that equals nothing, so no chain of them converges."""
+
+            __hash__ = frozenset.__hash__
+
+            def __eq__(self, other):
+                return False
+
+        cases = [
+            (lfp_iterate, lambda z: frozenset({0}) - z, "lfp chain is not monotone non-decreasing"),
+            (gfp_iterate, lambda z: self.UNIVERSE - z, "gfp chain is not monotone non-increasing"),
+            (lfp_iterate, Unequal, "lfp failed to converge within 7 iterations"),
+            (gfp_iterate, Unequal, "gfp failed to converge within 7 iterations"),
+        ]
+        for iterate, transformer, text in cases:
+            with pytest.raises(MonotonicityError) as caught:
+                iterate(transformer, self.UNIVERSE)
+            assert str(caught.value) == text
+
 
 def test_duality_check_raises_under_python_O():
     """The debug AG/EF duality check is an explicit raise, so it survives
@@ -355,6 +375,23 @@ class TestTraces:
         k = reachable(with_constants(baseline_model))
         with pytest.raises(TraceError):
             extract_trace(k, EF(Pred("never")), "witness")
+
+    @pytest.mark.parametrize(
+        "formula, mode, text",
+        [
+            ("AG eve_ok", "witness", "witness extraction requires a formula of shape EF g"),
+            ("EF never", "witness", "witness requested but the EF formula does not hold"),
+            ("EF eve_ok", "counterexample",
+             "counterexample extraction requires a formula of shape AG g"),
+            ("AG always", "counterexample", "counterexample requested but the AG formula holds"),
+            ("EF always", "proof", "unknown trace mode 'proof'"),
+        ],
+    )
+    def test_error_texts(self, baseline_model, formula, mode, text):
+        k = reachable(with_constants(baseline_model))
+        with pytest.raises(TraceError) as caught:
+            extract_trace(k, parse_formula(formula), mode)
+        assert str(caught.value) == text
 
     def test_unconstrained_shortest_path_to_danger_is_two_steps(self, baseline_kripke):
         # the unconditional cabin move admits a direct cockpit->cabin step,

@@ -17,6 +17,7 @@ from insiderctl.model import (
     InsiderDecl,
     IsIn,
     Location,
+    Model,
     ModelError,
     Not,
     Or,
@@ -31,6 +32,7 @@ from insiderctl.model import (
     build_resolver,
     enables,
     encode,
+    subst_pred,
     tables,
     tipping_point,
     vector_condition,
@@ -198,6 +200,49 @@ class TestEvalCondition:
             for _ in range(10)
         }
         assert results == {True}
+
+
+    @pytest.mark.parametrize("tipped", [True, False])
+    @pytest.mark.parametrize("atom", [HasCred("PIN"), HasRole("pilot")], ids=repr)
+    def test_insider_inherits_a_token_only_the_alter_ego_holds(self, atom, tipped):
+        """Eve holds nothing; once tipped, her class holds Charly's token."""
+        a = Location(0, "a")
+        state = EVE_STATE if tipped else ActorPsyState("happy", frozenset())
+        initial = InfraGraph(
+            frozenset(), {a: ("Bob", "Charly", "Eve")}, {"Charly": {"PIN"}}, {"Charly": {"pilot"}}, {}
+        )
+        m = Model(
+            locations=(a,), edges=frozenset(), identities=frozenset({"Bob", "Charly", "Eve"}),
+            initial=initial, policy_variants={"baseline": {a: {AtomicPolicy(atom, {"put"})}}},
+            insiders=(InsiderDecl("Eve", {"Charly"}, state),),
+        )
+        other = HasRole("PIN") if isinstance(atom, HasCred) else HasCred("pilot")
+        for who, holds in [("Eve", tipped), ("Charly", True), ("Bob", False)]:
+            rep = m.resolver.actor_of(who)
+            assert condition_holds(atom, initial, rep, m) is holds, who
+            assert enables(m, initial, a, rep, "put") is holds, who
+            assert condition_holds(other, initial, rep, m) is False, who
+
+
+class TestSubstPred:
+    def test_replaces_the_parameter_in_every_identity_slot(self):
+        def body(who):
+            return Or(
+                Not(PEnables(cockpit, who, "put")),
+                And(PAt(who, cabin), Not(Or(PInSet(who, "crew"), IsIn(door, "norm")))),
+            )
+
+        assert subst_pred(body("x"), "x", "Eve") == body("Eve")
+
+    @pytest.mark.parametrize(
+        "atom",
+        [PEnables(cockpit, "Bob", "put"), PAt("Bob", cabin), PInSet("Bob", "crew"),
+         IsIn(door, "x"), CountAtLeast(cockpit, 2), PBool(False)],
+        ids=repr,
+    )
+    def test_atoms_without_the_parameter_come_back_equal(self, atom):
+        for body in [atom, Not(atom), And(atom, Not(atom)), Or(Not(atom), And(atom, atom))]:
+            assert subst_pred(body, "x", "Eve") == body
 
 
 class TestEnables:
