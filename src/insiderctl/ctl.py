@@ -12,15 +12,16 @@ builds a state's snapshot on request.  State sets are ``frozenset``s of indices.
 :func:`find_witness` compiles a propositional goal with
 :func:`~insiderctl.model.vector_condition`, and stops at the first state in it.
 
-Labelling runs three primitives, each linear in states and distinct edges,
+Labelling runs two primitives, each linear in states and distinct edges,
 over an index: :meth:`~KripkeModel.backward`, each state's distinct
 predecessors and out-degree, which a :class:`KripkeModel` builds in the pass
 that checks its edges, and :meth:`~KripkeModel.label`, each named
 predicate's satisfying set, built on first use.  EX b scans the
-predecessors of b; E[a U b] is a backward worklist from b through a; A[a U b]
-counts, per state, the distinct successors not yet in, and a deadlock in a
-joins at once, since AX is vacuously true there.  The other seven operators
-follow by duality:
+predecessors of b.  E[a U b] and A[a U b] are one backward worklist from b
+through a: a state of a joins once one successor is in (E), or once all its
+distinct successors are, counted down (A); under A a deadlock in a joins at
+once, since AX is vacuously true there.  The other seven operators follow
+by duality:
 
     AX f = !EX !f    EF f = E[true U f]    AF f = A[true U f]
     EG f = !AF !f    AG f = !EF !f
@@ -222,32 +223,25 @@ def reachable(model: Model, *, max_states: int | None = None) -> KripkeModel:
 def lfp_iterate(transformer, universe: frozenset[int]) -> frozenset[int]:
     """Iterate a monotone transformer from the empty set to its least
     fixpoint; converges within ``|universe| + 1`` applications."""
-    current: frozenset[int] = frozenset()
-    for _ in range(len(universe) + 1):
-        nxt = transformer(current)
-        if not current <= nxt:
-            raise MonotonicityError("lfp chain is not monotone non-decreasing")
-        if nxt == current:
-            return current
-        current = nxt
-    raise MonotonicityError(
-        f"lfp failed to converge within {len(universe) + 1} iterations"
-    )
+    return _iterate(transformer, universe, True)
 
 
 def gfp_iterate(transformer, universe: frozenset[int]) -> frozenset[int]:
     """Dual of :func:`lfp_iterate`: iterate downward from the universe."""
-    current = universe
+    return _iterate(transformer, universe, False)
+
+
+def _iterate(transformer, universe: frozenset[int], least: bool) -> frozenset[int]:
+    """The chain of :func:`lfp_iterate` (``least``) or :func:`gfp_iterate`."""
+    name, way, current = ("lfp", "de", frozenset()) if least else ("gfp", "in", universe)
     for _ in range(len(universe) + 1):
         nxt = transformer(current)
-        if not nxt <= current:
-            raise MonotonicityError("gfp chain is not monotone non-increasing")
+        if not (current <= nxt if least else nxt <= current):
+            raise MonotonicityError(f"{name} chain is not monotone non-{way}creasing")
         if nxt == current:
             return current
         current = nxt
-    raise MonotonicityError(
-        f"gfp failed to converge within {len(universe) + 1} iterations"
-    )
+    raise MonotonicityError(f"{name} failed to converge within {len(universe) + 1} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +358,9 @@ def eval_ctl(k: KripkeModel, formula: CtlFormula, *, debug: bool = False) -> fro
         ex = frozenset([i for j in (b if quant == "E" else universe - b) for i in preds[j]])
         result = ex if quant == "E" else universe - ex
     elif kind == "U":
-        result = (_eu if quant == "E" else _au)(k, a, b)
+        result = _until(k, a, b, quant == "A")
     else:  # E[a R b] = !A[!a U !b], A[a R b] = !E[!a U !b]
-        result = universe - (_au if quant == "E" else _eu)(k, universe - a, universe - b)
+        result = universe - _until(k, universe - a, universe - b, quant == "E")
     if debug:
         _check_reference(k, formula, quant, kind, a, b, result)
     return result
@@ -381,24 +375,14 @@ _SHAPES = {
 }
 
 
-def _eu(k: KripkeModel, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
-    """E[a U b]: ``b``, grown backward through predecessors in ``a``."""
-    preds = k.backward()[0]
-    found, todo = set(b), list(b)
-    while todo:
-        for i in preds[todo.pop()]:
-            if i not in found and i in a:
-                found.add(i)
-                todo.append(i)
-    return frozenset(found)
-
-
-def _au(k: KripkeModel, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
-    """A[a U b]: ``b``, and each state of ``a`` once all its distinct
-    successors are in; a deadlock in ``a`` joins at once."""
+def _until(k: KripkeModel, a: frozenset[int], b: frozenset[int], every: bool) -> frozenset[int]:
+    """E[a U b], or A[a U b] if ``every``: ``b``, grown backward through
+    the states of ``a`` with one successor in, or under A with all their
+    distinct successors in (counted down); under A a deadlock in ``a``
+    joins at once."""
     preds, degree = k.backward()
-    waiting = list(degree)
-    found = set(b).union([i for i in a if not degree[i]])
+    waiting = list(degree) if every else [1] * len(degree)
+    found = set(b).union([i for i in a if not degree[i]] if every else ())
     todo = list(found)
     while todo:
         for i in preds[todo.pop()]:
@@ -508,49 +492,42 @@ def shortest_path_via(k: KripkeModel, waypoints) -> TracePath | None:
     """Shortest path from an initial state through the given state vectors
     in order, as the concatenation of shortest legs; ``None`` when a
     waypoint is unreachable."""
-    indices = []
-    for v in waypoints:
-        i = k.index.get(v)
-        if i is None:
-            return None
-        indices.append(i)
-    sources = k.init
-    states: list[int] = []
-    labels: list[TransitionLabel] = []
+    indices = [k.index.get(v) for v in waypoints]
+    if None in indices:
+        return None
+    sources, states, labels = k.init, [], []
     for target in indices:
         leg = shortest_path(k, frozenset({target}), sources=sources)
         if leg is None:
             return None
-        if states:
-            states.extend(leg.states[1:])
-        else:
-            states.extend(leg.states)
-        labels.extend(leg.labels)
+        states += leg.states[1 if states else 0 :]  # each leg starts where the last ended
+        labels += leg.labels
         sources = frozenset({target})
     return TracePath(tuple(states), tuple(labels))
+
+
+# Each trace mode: the formula shape it takes, whether the path leads into
+# sat(g) or out of it, and why there is none.
+_TRACES = {
+    "witness": (EF, True, "the EF formula does not hold"),
+    "counterexample": (AG, False, "the AG formula holds"),
+}
 
 
 def extract_trace(k: KripkeModel, formula: CtlFormula, mode: str) -> TracePath:
     """Witness for a holding ``EF g`` or counterexample for a failing
     ``AG g``: the shortest path from an initial state into sat(g),
     respectively out of sat(g)."""
-    if mode == "witness":
-        if not isinstance(formula, EF):
-            raise TraceError("witness extraction requires a formula of shape EF g")
-        goal = eval_ctl(k, formula.arg)
-        path = shortest_path(k, goal)
-        if path is None:
-            raise TraceError("witness requested but the EF formula does not hold")
-        return path
-    if mode == "counterexample":
-        if not isinstance(formula, AG):
-            raise TraceError("counterexample extraction requires a formula of shape AG g")
-        bad = k.universe - eval_ctl(k, formula.arg)
-        path = shortest_path(k, bad)
-        if path is None:
-            raise TraceError("counterexample requested but the AG formula holds")
-        return path
-    raise TraceError(f"unknown trace mode {mode!r}")
+    if mode not in _TRACES:
+        raise TraceError(f"unknown trace mode {mode!r}")
+    shape, into, none = _TRACES[mode]
+    if not isinstance(formula, shape):
+        raise TraceError(f"{mode} extraction requires a formula of shape {shape.__name__} g")
+    sat = eval_ctl(k, formula.arg)
+    path = shortest_path(k, sat if into else k.universe - sat)
+    if path is None:
+        raise TraceError(f"{mode} requested but {none}")
+    return path
 
 
 def find_witness(model: Model, formula: CtlFormula, *, max_states: int | None = None) -> tuple:
@@ -587,18 +564,12 @@ def format_trace(k: KripkeModel | Exploration, path: TracePath) -> str:
     return "\n".join(lines)
 
 
-def _dot_text(text: str) -> str:
-    """``text`` inside a quoted DOT label: backslashes doubled and ``"``
-    written as ``'``, so no name ends the label or reads as an escape."""
-    return text.replace("\\", "\\\\").replace('"', "'")
-
-
 def dot_export(k: KripkeModel) -> str:
     """GraphViz rendering with stable node and edge ordering."""
     chunks = ['digraph kripke {\n  rankdir=LR;\n  node [shape=box fontname="monospace"];\n']
     describe = tables(k.model).describe
     for i, v in enumerate(k.states):
-        desc = _dot_text(describe(v)).replace(" | ", "\\n")
+        desc = describe(v).replace(" | ", "\\n")
         extra = " penwidth=2" if i in k.init else ""
         chunks.append(f'  s{i} [label="s{i}\\n{desc}"{extra}];\n')
     # Labels (interned) and state numbers are formatted once each; each
@@ -611,7 +582,7 @@ def dot_export(k: KripkeModel) -> str:
         for label, j in zip(labels[a:b], targets[a:b]):
             tail = tails.get(id(label))
             if tail is None:
-                tail = tails[id(label)] = f' [label="{_dot_text(str(label))}"];\n'
+                tail = tails[id(label)] = f' [label="{label}"];\n'
             lines.append(f"{head}{names[j]}{tail}")
         chunks.append("".join(lines))
     chunks.append("}\n")

@@ -51,8 +51,9 @@ class ModelError(ValueError):
 
 
 def check_name(value: str, what: str) -> None:
-    """Reject ``value``, an identity or a location name, unless it is a
-    word of the model document, which a condition's identity list can name."""
+    """Reject ``value`` unless it is a word of the model document.  Every
+    token a document writes is one: names of locations, identities, sets,
+    predicates, parameters and variants, credentials, roles and values."""
     word = isinstance(value, str) and value.isascii()
     if not (word and (value.isidentifier() or value.isdigit())):
         raise ModelError(f"{what} must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): {value!r}")
@@ -406,16 +407,25 @@ class RequesterAt(PolicyCondition):
 class HasCred(PolicyCondition):
     cred: str
 
+    def __post_init__(self) -> None:
+        check_name(self.cred, "credential")
+
 
 @record(frozen=True)
 class HasRole(PolicyCondition):
     role: str
+
+    def __post_init__(self) -> None:
+        check_name(self.role, "role")
 
 
 @record(frozen=True)
 class IsIn(PolicyCondition, PredExpr):
     loc: Location
     value: str
+
+    def __post_init__(self) -> None:
+        check_name(self.value, "value")
 
 
 @record(frozen=True)
@@ -454,6 +464,9 @@ class PAt(PredExpr):
 class PInSet(PredExpr):
     identity: str
     set_name: str
+
+    def __post_init__(self) -> None:
+        check_name(self.set_name, "set name")
 
 
 @record(frozen=True)
@@ -501,22 +514,12 @@ class FoeControl:
 
 
 def subst_pred(expr: PredExpr, param: str, value: str) -> PredExpr:
-    """Replace occurrences of the bound parameter in identity slots."""
-    match expr:
-        case PEnables(loc=l, identity=i, action=a):
-            return PEnables(l, value if i == param else i, a)
-        case PAt(identity=i, loc=l):
-            return PAt(value if i == param else i, l)
-        case PInSet(identity=i, set_name=s):
-            return PInSet(value if i == param else i, s)
-        case Not(arg=arg):
-            return Not(subst_pred(arg, param, value))
-        case And(left=left, right=right):
-            return And(subst_pred(left, param, value), subst_pred(right, param, value))
-        case Or(left=left, right=right):
-            return Or(subst_pred(left, param, value), subst_pred(right, param, value))
-        case _:
-            return expr
+    """Replace the bound parameter in the ``identity`` field of every atom."""
+    if isinstance(expr, (Not, And, Or)):
+        return type(expr)(*(subst_pred(x, param, value) for x in vars(expr).values()))
+    if getattr(expr, "identity", None) == param:
+        return type(expr)(**vars(expr) | {"identity": value})
+    return expr
 
 
 @record(frozen=True)
@@ -528,6 +531,11 @@ class StatePredicate:
     name: str
     body: PredExpr
     param: str | None = None
+
+    def __post_init__(self) -> None:
+        check_name(self.name, "predicate name")
+        if self.param is not None:
+            check_name(self.param, "predicate parameter")
 
 
 def predicate_body(pred: StatePredicate, arg: str | None = None) -> PredExpr:
@@ -563,12 +571,9 @@ def check_atoms(expr, what: str, language: type, locations, identities, sets, pa
         s = getattr(atom, "set_name", None)
         if s is not None and s not in sets:
             raise ModelError(f"{what} references unknown set {s!r}")
-        ident = getattr(atom, "identity", param)
-        if ident != param and ident not in identities:
-            raise ModelError(f"{what} references unknown identity {ident!r}")
-        if isinstance(atom, AllAtAuthorized) and not atom.allowed <= identities:
-            ident = min(atom.allowed - identities)
-            raise ModelError(f"{what} references unknown identity {ident!r}")
+        named = getattr(atom, "allowed", set()) | ({getattr(atom, "identity", param)} - {param})
+        if stray := named - identities:
+            raise ModelError(f"{what} references unknown identity {min(stray)!r}")
 
 
 def check_predicate(pred: StatePredicate, locations, identities, sets) -> None:
@@ -624,8 +629,17 @@ class Model:
         names = [l.name for l in self.locations]
         if len(set(ids)) != len(ids) or len(set(names)) != len(names):
             raise ModelError("location ids and names must be unique")
-        for ident in sorted(self.identities):
-            check_name(ident, "identity")
+        g = self.initial
+        for what, words in [
+            ("identity", self.identities),
+            ("credential", set().union(*g.credentials.values())),
+            ("role", set().union(*g.roles.values())),
+            ("value", set(g.loc_value.values()).union(*self.value_alphabet.values())),
+            ("set name", self.identity_sets),
+            ("variant name", self.policy_variants),
+        ]:
+            for word in sorted(words, key=str):
+                check_name(word, what)
         known = set(self.locations)
         for a, b in self.edges:
             if a not in known or b not in known:
@@ -657,7 +671,9 @@ class Model:
             check_value(loc, value, self.value_alphabet)
         if self.initial.edges != self.edges:
             raise ModelError("the initial snapshot's edges differ from the model's edges")
-        for pred in self.named_predicates.values():
+        for key, pred in self.named_predicates.items():
+            if key != pred.name:
+                raise ModelError(f"predicate {pred.name!r} is filed under {key!r}")
             check_predicate(pred, *names)
 
     def _normalise(self) -> None:
@@ -837,11 +853,9 @@ def vector_condition(cond, t: Tables):
         case RequesterAt(loc=loc):
             k = t.loc_pos[loc]
             return lambda v, rep: k in [v[p] for p in at.get(rep, ())]
-        case HasCred(cred=cred):
-            return lambda v, rep: any(cred in v[n + p] for p in at.get(rep, ()))
-        case HasRole(role=role):
-            base = 2 * n
-            return lambda v, rep: any(role in v[base + p] for p in at.get(rep, ()))
+        case HasCred(cred=x) | HasRole(role=x):
+            base = n if isinstance(cond, HasCred) else 2 * n
+            return lambda v, rep: any(x in v[base + p] for p in at.get(rep, ()))
         case IsIn(loc=loc, value=value):
             slot = 3 * n + t.loc_pos[loc]
             return lambda v, rep: v[slot] == value

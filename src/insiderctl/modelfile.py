@@ -42,10 +42,10 @@ has (shapes, duplicates, placements, ``default_policies``); for the rest it
 runs the record constructors and the ``check_`` functions of
 :mod:`insiderctl.model` once, and builds its ``Model`` without running them.
 
+Every token is a word (see :func:`~insiderctl.model.check_name`), so
 ``serialize_model`` emits a canonical rendering (sections in canonical
 order, sorted entries), which ``parse_model`` reads back to an equal model
-that serialises to the same bytes, if the model's tokens (credentials,
-roles, values, names of sets, predicates and variants) are words too.
+that serialises to the same bytes.
 """
 
 from __future__ import annotations
@@ -257,11 +257,8 @@ def _atom_text(atom) -> str:
     return f"{name}({', '.join(map(_arg_text, vars(atom).values()))})"
 
 
-def condition_text(cond: PolicyCondition) -> str:
-    return expr_text(cond, _atom_text)
-
-
-def predicate_text(expr: PredExpr) -> str:
+def condition_text(expr: PolicyCondition | PredExpr) -> str:
+    """A policy condition's or a predicate body's text in a document."""
     return expr_text(expr, _atom_text)
 
 
@@ -358,10 +355,15 @@ class _Reader:
             if name not in SHAPES:
                 self.fail(line, f"unknown section {name!r}")
                 continue
-            if args and name not in HEADER_ARGUMENT:
-                self.fail(line, f"section header {name!r} takes no argument")
-            elif len(args) > 1:
-                self.fail(line, f"section header {name!r} takes at most one argument")
+            try:
+                if args and name not in HEADER_ARGUMENT:
+                    raise ModelError(f"section header {name!r} takes no argument")
+                if len(args) > 1:
+                    raise ModelError(f"section header {name!r} takes at most one argument")
+                if args:
+                    check_name(args[0], "variant name")
+            except ModelError as exc:
+                self.fail(line, str(exc))
             entries = []
             sections.append((name, args[0] if args else None, line, entries))
         sections.sort(key=lambda s: _DECLARATIONS.get(s[0], 2))
@@ -403,13 +405,17 @@ class _Reader:
 
     def read_sets(self, text: str) -> None:
         name, members = self.split(text)
+        check_name(name, "set name")
         if name in self.identity_sets:
             raise ModelError(f"duplicate set {name!r}")
         self.identity_sets[name] = frozenset(map(self.ident, members))
 
     def read_credentials(self, text: str, table: str = "credentials") -> None:
         ident, tokens = self.split(text)
-        getattr(self, table).setdefault(self.ident(ident), set()).update(tokens)
+        ident = self.ident(ident)
+        for token in tokens:
+            check_name(token, table[:-1])
+        getattr(self, table).setdefault(ident, set()).update(tokens)
 
     def read_roles(self, text: str) -> None:
         self.read_credentials(text, "roles")
@@ -431,6 +437,7 @@ class _Reader:
         loc = self.loc(where)
         if loc in self.values:
             raise ModelError(f"duplicate value for {loc}")
+        check_name(value, "value")
         check_value(loc, value, self.value_alphabet)
         self.values[loc] = value
 
@@ -439,6 +446,8 @@ class _Reader:
         loc = self.loc(where)
         if loc in self.value_alphabet:
             raise ModelError(f"duplicate alphabet for {loc}")
+        for token in tokens:
+            check_name(token, "value")
         self.value_alphabet[loc] = frozenset(tokens)
 
     def read_policies(self, text: str) -> None:
@@ -454,7 +463,7 @@ class _Reader:
     def read_insiders(self, text: str) -> None:
         words = text.split()
         try:
-            psy_at = words.index("psy")
+            psy_at = max(i for i, w in enumerate(words) if w == "psy")  # an identity may be "psy"
             who, verb, egos = words[0], words[1], words[2:psy_at]
             psy, motives = words[psy_at + 1], words[psy_at + 2:]
         except (IndexError, ValueError):
@@ -538,7 +547,7 @@ def serialize_model(model: Model) -> str:
             for d in sorted(model.insiders, key=lambda d: d.id)
         ]),
         ("predicates", [
-            f"{p.name}{f'({p.param})' if p.param else ''} := {predicate_text(p.body)}"
+            f"{p.name}{f'({p.param})' if p.param else ''} := {condition_text(p.body)}"
             for _, p in sorted(model.named_predicates.items())
         ]),
         ("assumptions", [f"foe {f.location.name} {f.action} {f.foe}" for f in model.assumptions]),

@@ -41,7 +41,7 @@ from insiderctl.airplane import (
     ex_graph,
 )
 from insiderctl.formula import parse_formula
-from insiderctl.modelfile import parse_model
+from insiderctl.modelfile import ModelParseError, parse_model
 
 from genmodels import with_passengers
 from oracles import backward_closure
@@ -429,34 +429,26 @@ class TestDot:
         assert 's0 [label="s0' in a and "penwidth=2" in a
         assert a.count(" -> ") == sum(len(e) for e in four_eyes_kripke.edges)
 
-    def test_labels_escape_backslashes_and_quotes(self):
-        # Values may hold any non-space character, Graphviz's \N among them.
-        k = reachable(parse_model(textwrap.dedent(r"""
-            locations
-              a 0
-              b 1
-            edges
-              a -> b
-            identities
-              Ann
-            placements
-              a: Ann
-            values
-              b = \N"
-            alphabets
-              b: \N" y\
-            policies baseline
-              at a allow move if true
-              at b allow move if true
-              at b allow put if true
-            default_policies baseline
-            """)))
-        lines = dot_export(k).splitlines()[3:-1]
-        assert len(lines) == len(k.states) + sum(len(out) for out in k.edges)
-        label = r'\[label="((?:[^"\\]|\\.)*)"'
+    def test_labels_need_no_escapes(self, four_eyes_kripke):
+        """Every name and token of a model is a word, so no DOT label holds
+        a quote or a backslash: a value like Graphviz's ``\\N"`` is
+        rejected at its line, and a label escapes only its line breaks."""
+        bad = '\\N"'
+        with pytest.raises(ModelParseError) as caught:
+            parse_model(textwrap.dedent(rf"""
+                locations
+                  a 0
+                  b 1
+                identities
+                  Ann
+                values
+                  b = {bad}
+                alphabets
+                  b: {bad} y
+                """))
+        rule = f"value must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): {bad!r}"
+        assert [str(d) for d in caught.value.diagnostics] == [f"line 10: {rule}", f"line 8: {rule}"]
+        lines = dot_export(four_eyes_kripke).splitlines()[3:-1]
+        label = r'\[label="(?:[^"\\]|\\n)*"'
         for line in lines:
             assert re.fullmatch(rf"  s\d+( -> s\d+)? {label}( penwidth=2)?\];", line), line
-        node = re.search(label, lines[0]).group(1)
-        assert re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], node) == (
-            "s0\na:[Ann]\nb=\\N'"
-        )

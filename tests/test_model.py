@@ -201,16 +201,14 @@ class TestEvalCondition:
         }
         assert results == {True}
 
-
     @pytest.mark.parametrize("tipped", [True, False])
     @pytest.mark.parametrize("atom", [HasCred("PIN"), HasRole("pilot")], ids=repr)
     def test_insider_inherits_a_token_only_the_alter_ego_holds(self, atom, tipped):
         """Eve holds nothing; once tipped, her class holds Charly's token."""
         a = Location(0, "a")
         state = EVE_STATE if tipped else ActorPsyState("happy", frozenset())
-        initial = InfraGraph(
-            frozenset(), {a: ("Bob", "Charly", "Eve")}, {"Charly": {"PIN"}}, {"Charly": {"pilot"}}, {}
-        )
+        charly = {"Charly": {"PIN"}}, {"Charly": {"pilot"}}
+        initial = InfraGraph(frozenset(), {a: ("Bob", "Charly", "Eve")}, *charly, {})
         m = Model(
             locations=(a,), edges=frozenset(), identities=frozenset({"Bob", "Charly", "Eve"}),
             initial=initial, policy_variants={"baseline": {a: {AtomicPolicy(atom, {"put"})}}},
@@ -397,6 +395,27 @@ class TestModelValidation:
         pred = StatePredicate("odd", Or(PBool(False), atom))
         with pytest.raises(ModelError, match=f"predicate 'odd' uses {type(atom).__name__}, "):
             m._clone(named_predicates={**m.named_predicates, "odd": pred})
+
+    def test_a_predicate_is_filed_under_its_name(self):
+        """The document files a predicate under its name, so a model that
+        does not would read back as another."""
+        m = build_airplane_model("baseline")
+        with pytest.raises(ModelError, match="predicate 'eve_ok' is filed under 'ok'"):
+            m._clone(named_predicates={**m.named_predicates, "ok": m.named_predicates["eve_ok"]})
+
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda: HasCred("x(y"), "credential"),
+            (lambda: HasRole("x y"), "role"),
+            (lambda: IsIn(door, "x,y"), "value"),
+            (lambda: PInSet("Eve", ""), "set name"),
+        ],
+    )
+    def test_atoms_hold_words(self, build, what):
+        """The atoms' own tokens; ``test_model_checks`` covers the rest."""
+        with pytest.raises(ModelError, match=f"^{what} must be a word"):
+            build()
 
     def test_a_false_condition_round_trips(self):
         m = build_airplane_model("baseline")

@@ -98,6 +98,38 @@ CASES = {
         lambda: model(locations=(A, B, Location(2, "c-d"))),
         "locations\n  c-d 2\n", 7,
         "location name must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): 'c-d'"),
+    "credential that is not a word": (
+        lambda: model(initial=InfraGraph((), {}, {"Ann": {"PIN", "x(y"}}, {}, {})),
+        "credentials\n  Ann: PIN x(y\n", 7,
+        "credential must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): 'x(y'"),
+    "role that is not a word": (
+        lambda: model(initial=InfraGraph((), {}, {}, {"Ann": {"\u00f1"}}, {})),
+        "roles\n  Ann: \u00f1\n", 7,
+        "role must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): '\u00f1'"),
+    "value that is not a word": (
+        lambda: model(initial=InfraGraph((), {}, {}, {}, {A: "x,y"})),
+        "values\n  a = x,y\n", 7,
+        "value must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): 'x,y'"),
+    "alphabet value that is not a word": (
+        lambda: model(value_alphabet={A: {"x", "\u0661"}}),
+        "alphabets\n  a: x \u0661\n", 7,
+        "value must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): '\u0661'"),
+    "set name that is not a word": (
+        lambda: model(identity_sets={"my-crew": {"Ann"}}),
+        "sets\n  my-crew = Ann\n", 7,
+        "set name must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): 'my-crew'"),
+    "predicate name that is not a word": (
+        lambda: model(named_predicates={"caf\u00e9": StatePredicate("caf\u00e9", PBool())}),
+        "predicates\n  caf\u00e9 := true\n", 7,
+        "predicate name must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): 'caf\u00e9'"),
+    "predicate parameter that is not a word": (
+        lambda: predicate(PBool(), "\u00e9"),
+        "predicates\n  p(\u00e9) := true\n", 7,
+        "predicate parameter must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): '\u00e9'"),
+    "variant name that is not a word": (
+        lambda: model(policy_variants={"x-y": {}}, variant="x-y"),
+        "policies x-y\n", 6,
+        "variant name must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): 'x-y'"),
 }
 
 

@@ -3,10 +3,37 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from insiderctl import model as model_module, modelfile
 from insiderctl.airplane import build_airplane_model
-from insiderctl.model import AllAtAuthorized, AtomicPolicy, InfraGraph, Location, Model, ModelError
+from insiderctl.model import (
+    ACTIONS,
+    MOTIVATIONS,
+    PSY_STATES,
+    ActorPsyState,
+    AllAtAuthorized,
+    And,
+    AtomicPolicy,
+    CountAtLeast,
+    FoeControl,
+    HasCred,
+    HasRole,
+    InfraGraph,
+    InsiderDecl,
+    IsIn,
+    Location,
+    Model,
+    ModelError,
+    Not,
+    Or,
+    PAt,
+    PBool,
+    PEnables,
+    PInSet,
+    RequesterAt,
+    StatePredicate,
+)
 from insiderctl.modelfile import (
     SECTIONS,
     ModelParseError,
@@ -91,6 +118,93 @@ class TestRoundTrip:
         text = serialize_model(build(name))
         assert parse_model(text) == build(name)
         assert serialize_model(parse_model(text)) == text
+
+
+# Words, among them the document's own keywords and Python's, and strings
+# that are not words: each would break the line or the expression it is in.
+WORDS = ["a", "Ann", "x1", "_", "007", "None", "class", "psy", "motives", "impersonates",
+         "foe", "at", "allow", "if", "true", "false", "baseline", "crew"]
+NON_WORDS = ["x(y", "x y", "x,y", "", " ", "a:b", "a=b", "#c", "[z]", "\u00f1", "\u0661",
+             "x\ny", '"q', "\\", "->", ":=", "!", "&", "|", ")"]
+
+
+@st.composite
+def models(draw):
+    """A ``Model`` built from the arguments drawn, or the ``ModelError``
+    that building it or a part of it raised.  Every token slot draws a
+    word, or now and then a string that is not one."""
+    try:
+        return _model(draw)
+    except ModelError as exc:
+        return exc
+
+
+def _model(draw) -> Model:
+    token = st.sampled_from(WORDS if draw(st.booleans()) else WORDS * 10 + NON_WORDS)
+    tokens, actions = st.frozensets(token, max_size=3), st.sampled_from(ACTIONS)
+    names = draw(st.lists(token, min_size=1, max_size=3))
+    locs = [Location(i, name) for i, name in enumerate(names)]
+    ids = sorted(draw(st.sets(token, min_size=1, max_size=3)))
+    loc, ident = st.sampled_from(locs), st.sampled_from(ids)
+    sets = draw(st.dictionaries(token, st.frozensets(ident), max_size=2))
+    param = draw(st.none() | token)
+    who = st.sampled_from(ids + [param] if param else ids)
+    count = st.builds(CountAtLeast, loc, st.integers(1, 3))
+    constant, value = st.builds(PBool, st.booleans()), st.builds(IsIn, loc, token)
+    condition = st.one_of(
+        constant, value, count, st.builds(RequesterAt, loc), st.builds(HasCred, token),
+        st.builds(HasRole, token), st.builds(AllAtAuthorized, loc, st.frozensets(ident)),
+    )
+    body = st.one_of(
+        constant, value, count, st.builds(PEnables, loc, who, actions), st.builds(PAt, who, loc),
+        st.builds(PInSet, who, st.sampled_from(sorted(sets)) | token if sets else token),
+    )
+
+    def tree(atom):
+        return st.recursive(atom, lambda e: st.one_of(
+            st.builds(Not, e), st.builds(And, e, e), st.builds(Or, e, e)), max_leaves=4)
+
+    policy = st.builds(AtomicPolicy, tree(condition), st.frozensets(actions, min_size=1))
+    pmap = st.dictionaries(loc, st.frozensets(policy, min_size=1, max_size=2), max_size=2)
+    variants = draw(st.dictionaries(token, pmap, min_size=1, max_size=2))
+    predicates = {
+        name: StatePredicate(name, draw(tree(body)), param)
+        for name in draw(st.sets(token, max_size=2))
+    }
+    insiders = []
+    if len(ids) > 1 and draw(st.booleans()):
+        insider = draw(ident)
+        egos = draw(st.frozensets(st.sampled_from([i for i in ids if i != insider]), min_size=1))
+        motives = draw(st.frozensets(st.sampled_from(MOTIVATIONS), max_size=2))
+        state = ActorPsyState(draw(st.sampled_from(PSY_STATES)), motives)
+        insiders.append(InsiderDecl(insider, egos, state))
+    where: dict = {}
+    for i, l in draw(st.dictionaries(ident, loc, max_size=3)).items():
+        where.setdefault(l, []).append(i)
+    edges = draw(st.sets(st.tuples(loc, loc), max_size=2))
+    values = draw(st.dictionaries(loc, token, max_size=2))
+    creds, roles = draw(st.dictionaries(ident, tokens)), draw(st.dictionaries(ident, tokens))
+    alphabets = {l: draw(tokens) | ({values[l]} if l in values else set()) for l in locs}
+    return Model(
+        locations=locs, edges=edges, identities=ids,
+        initial=InfraGraph(edges, where, creds, roles, values), policy_variants=variants,
+        variant=draw(st.sampled_from(sorted(variants))), value_alphabet=alphabets,
+        insiders=insiders, identity_sets=sets, named_predicates=predicates,
+        assumptions=draw(st.lists(st.builds(FoeControl, loc, actions, ident), max_size=1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(models())
+def test_every_model_round_trips_or_is_rejected(m):
+    """A model whose every token is a word serialises to a document that
+    reads back to an equal model and serialises to the same bytes; any
+    other model is rejected when it is built."""
+    if isinstance(m, ModelError):
+        return
+    text = serialize_model(m)
+    assert parse_model(text) == m
+    assert serialize_model(parse_model(text)) == text
 
 
 def _blocks(text: str) -> list[str]:

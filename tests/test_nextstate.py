@@ -121,14 +121,14 @@ def test_a_model_parsed_again_reuses_the_compiled_code():
 # ---------------------------------------------------------------------------
 # Hostile names
 
-# Location names and identities are words (see ``model.check_name``), so
-# theirs are Python keywords and built-ins; the tokens may hold anything.
+# Every token of a model is a word (see ``model.check_name``), so these are
+# Python keywords, built-ins and constants.
 HOSTILE = {
     "locations": ["lambda", "__builtins__", "yield"],
     "identities": ["__import__", "exec", "breakpoint", "globals", "class", "_0"],
-    "credential": "P'IN{}",
-    "role": "pi\"lot\\",
-    "values": ["lock'ed", 'op"en', "__import__('sys').exit()", "ñorm"],
+    "credential": "False",
+    "role": "nonlocal",
+    "values": ["None", "raise", "__class__", "print"],
 }
 
 

@@ -14,7 +14,7 @@ import random
 from pathlib import Path
 
 from genmodels import random_model
-from insiderctl.modelfile import parse_model, serialize_model
+from insiderctl.modelfile import ModelParseError, parse_model, serialize_model
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden" / "sections.txt"
@@ -182,6 +182,17 @@ def render() -> str:
 
 def test_sections_match_the_golden():
     assert render() == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_every_document_that_parses_round_trips():
+    for name, text in documents():
+        try:
+            model = parse_model(text)
+        except ModelParseError:
+            continue
+        canonical = serialize_model(model)
+        assert parse_model(canonical) == model, name
+        assert serialize_model(parse_model(canonical)) == canonical, name
 
 
 if __name__ == "__main__":
