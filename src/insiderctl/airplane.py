@@ -96,59 +96,41 @@ def aid_graph() -> InfraGraph:
     return _graph({cockpit: ("Charly",), cabin: ("Bob", "Alice")}, _LOCS_LOCKED)
 
 
-def _cockpit_move_condition():
-    return And(And(RequesterAt(cabin), HasCred("PIN")), IsIn(door, "norm"))
+# The policy variants, the named predicates and Eve's insider declaration
+# are immutable records, built once and shared by every model built here.
+_ANYONE, _IN_COCKPIT = PBool(), RequesterAt(cockpit)
+_MOVE, _PUT = frozenset({"move"}), frozenset({"put"})
+_COCKPIT_MOVE = And(And(RequesterAt(cabin), HasCred("PIN")), IsIn(door, "norm"))
+# put needs two cockpit occupants, all airplane actors; leaving needs three
+_TWO_PERSON = And(
+    And(_IN_COCKPIT, CountAtLeast(cockpit, 2)), AllAtAuthorized(cockpit, AIRPLANE_ACTORS)
+)
+_LEAVE_WITH_THREE = And(_IN_COCKPIT, CountAtLeast(cockpit, 3))
 
+POLICY_VARIANTS = {
+    "baseline": {
+        cockpit: frozenset({AtomicPolicy(_IN_COCKPIT, _PUT), AtomicPolicy(_COCKPIT_MOVE, _MOVE)}),
+        door: frozenset({AtomicPolicy(_ANYONE, _MOVE), AtomicPolicy(_IN_COCKPIT, _PUT)}),
+        cabin: frozenset({AtomicPolicy(_ANYONE, _MOVE)}),
+    },
+    "four_eyes": {
+        cockpit: frozenset({AtomicPolicy(_TWO_PERSON, _PUT), AtomicPolicy(_COCKPIT_MOVE, _MOVE)}),
+        door: frozenset({AtomicPolicy(_LEAVE_WITH_THREE, _MOVE)}),
+        cabin: frozenset({AtomicPolicy(RequesterAt(door), _MOVE)}),
+    },
+}
 
-def _baseline_policies() -> dict:
-    return {
-        cockpit: frozenset(
-            {
-                AtomicPolicy(RequesterAt(cockpit), frozenset({"put"})),
-                AtomicPolicy(_cockpit_move_condition(), frozenset({"move"})),
-            }
-        ),
-        door: frozenset(
-            {
-                AtomicPolicy(PBool(), frozenset({"move"})),
-                AtomicPolicy(RequesterAt(cockpit), frozenset({"put"})),
-            }
-        ),
-        cabin: frozenset({AtomicPolicy(PBool(), frozenset({"move"}))}),
-    }
+# global_ok(a): a is either an airplane actor or cannot put at the cockpit
+_GLOBAL_OK = Or(PInSet("a", "airplane_actors"), Not(PEnables(cockpit, "a", "put")))
+_EVE_OK = Or(PInSet("Eve", "airplane_actors"), Not(PEnables(cockpit, "Eve", "put")))
+NAMED_PREDICATES = {
+    "global_ok": StatePredicate("global_ok", _GLOBAL_OK, param="a"),
+    "eve_ok": StatePredicate("eve_ok", _EVE_OK),
+    "eve_violates": StatePredicate("eve_violates", Not(_EVE_OK)),
+}
 
-
-def _four_eyes_policies() -> dict:
-    two_person_put = And(
-        And(RequesterAt(cockpit), CountAtLeast(cockpit, 2)),
-        AllAtAuthorized(cockpit, AIRPLANE_ACTORS),
-    )
-    leave_with_three = And(RequesterAt(cockpit), CountAtLeast(cockpit, 3))
-    return {
-        cockpit: frozenset(
-            {
-                AtomicPolicy(two_person_put, frozenset({"put"})),
-                AtomicPolicy(_cockpit_move_condition(), frozenset({"move"})),
-            }
-        ),
-        door: frozenset({AtomicPolicy(leave_with_three, frozenset({"move"}))}),
-        cabin: frozenset({AtomicPolicy(RequesterAt(door), frozenset({"move"}))}),
-    }
-
-
-def _named_predicates() -> dict:
-    # global_ok(a): a is either an airplane actor or cannot put at the cockpit
-    global_ok_body = Or(
-        PInSet("a", "airplane_actors"), Not(PEnables(cockpit, "a", "put"))
-    )
-    eve_ok_body = Or(
-        PInSet("Eve", "airplane_actors"), Not(PEnables(cockpit, "Eve", "put"))
-    )
-    return {
-        "global_ok": StatePredicate("global_ok", global_ok_body, param="a"),
-        "eve_ok": StatePredicate("eve_ok", eve_ok_body),
-        "eve_violates": StatePredicate("eve_violates", Not(eve_ok_body)),
-    }
+_MOTIVES = frozenset({"revenge", "peer_recognition"})
+INSIDERS = (InsiderDecl("Eve", frozenset({"Charly"}), ActorPsyState("depressed", _MOTIVES)),)
 
 
 def build_airplane_model(variant: str = "baseline") -> Model:
@@ -164,21 +146,12 @@ def build_airplane_model(variant: str = "baseline") -> Model:
         edges=EDGES,
         identities=IDENTITIES,
         initial=ex_graph(),
-        policy_variants={
-            "baseline": _baseline_policies(),
-            "four_eyes": _four_eyes_policies(),
-        },
+        policy_variants=POLICY_VARIANTS,
         variant=variant,
         value_alphabet=VALUE_ALPHABET,
-        insiders=(
-            InsiderDecl(
-                "Eve",
-                frozenset({"Charly"}),
-                ActorPsyState("depressed", frozenset({"revenge", "peer_recognition"})),
-            ),
-        ),
+        insiders=INSIDERS,
         identity_sets={"airplane_actors": AIRPLANE_ACTORS},
-        named_predicates=_named_predicates(),
+        named_predicates=NAMED_PREDICATES,
     )
 
 

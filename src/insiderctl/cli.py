@@ -22,7 +22,6 @@ import functools
 import sys
 
 from .ctl import (
-    AG,
     ExplorationLimitError,
     TraceError,
     check,
@@ -32,6 +31,7 @@ from .ctl import (
     format_trace,
     formula_predicates,
     reachable,
+    trace_shape,
 )
 from .formula import FormulaParseError, parse_formula, pretty
 from .model import FoeControl, Model, ModelError, tables
@@ -93,11 +93,11 @@ def _cmd_check(args) -> int:
         return OK
     print(f"check {pretty(formula)}: fails")
     if args.trace:
-        if isinstance(formula, AG):
+        if need := trace_shape(formula, "counterexample"):
+            print(f"no counterexample available: formula is not of shape {need}", file=sys.stderr)
+        else:
             print("counterexample:")
             print(format_trace(kripke, extract_trace(kripke, formula, "counterexample")))
-        else:
-            print("no counterexample available: formula is not of shape AG g", file=sys.stderr)
     return FAIL
 
 

@@ -514,15 +514,26 @@ _TRACES = {
 }
 
 
+def trace_shape(formula: CtlFormula, mode: str) -> str | None:
+    """The shape a ``mode`` trace takes, ``EF g`` or ``AG g``, unless ``formula`` has it."""
+    if mode not in _TRACES:
+        raise TraceError(f"unknown trace mode {mode!r}")
+    shape = _TRACES[mode][0]
+    return None if isinstance(formula, shape) else f"{shape.__name__} g"
+
+
+def _trace_rule(formula: CtlFormula, mode: str) -> tuple:
+    """``mode``'s ``(into, none)``; raises unless ``formula`` has its shape."""
+    if need := trace_shape(formula, mode):
+        raise TraceError(f"{mode} extraction requires a formula of shape {need}")
+    return _TRACES[mode][1:]
+
+
 def extract_trace(k: KripkeModel, formula: CtlFormula, mode: str) -> TracePath:
     """Witness for a holding ``EF g`` or counterexample for a failing
     ``AG g``: the shortest path from an initial state into sat(g),
     respectively out of sat(g)."""
-    if mode not in _TRACES:
-        raise TraceError(f"unknown trace mode {mode!r}")
-    shape, into, none = _TRACES[mode]
-    if not isinstance(formula, shape):
-        raise TraceError(f"{mode} extraction requires a formula of shape {shape.__name__} g")
+    into, none = _trace_rule(formula, mode)
     sat = eval_ctl(k, formula.arg)
     path = shortest_path(k, sat if into else k.universe - sat)
     if path is None:
@@ -536,8 +547,7 @@ def find_witness(model: Model, formula: CtlFormula, *, max_states: int | None = 
     and ``|``, compiled by :func:`~insiderctl.model.vector_condition`, the
     search stops at the first goal state, and ``k`` is that
     :class:`Exploration`; otherwise ``k`` is ``reachable(model)``."""
-    if not isinstance(formula, EF):
-        raise TraceError("witness extraction requires a formula of shape EF g")
+    _trace_rule(formula, "witness")
     if not all(isinstance(atom, Pred) for atom in leaves(formula.arg)):
         k = reachable(model, max_states=max_states)
         return k, shortest_path(k, eval_ctl(k, formula.arg))

@@ -30,6 +30,8 @@ Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .record import record
 
 ACTIONS = ("get", "move", "eval", "put")
@@ -50,6 +52,9 @@ class ModelError(ValueError):
     """A model (or one of its parts) violates a structural invariant."""
 
 
+_EMPTY: frozenset = frozenset()
+
+
 def check_name(value: str, what: str) -> None:
     """Reject ``value`` unless it is a word of the model document.  Every
     token a document writes is one: names of locations, identities, sets,
@@ -57,6 +62,22 @@ def check_name(value: str, what: str) -> None:
     word = isinstance(value, str) and value.isascii()
     if not (word and (value.isidentifier() or value.isdigit())):
         raise ModelError(f"{what} must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): {value!r}")
+
+
+def check_names(groups) -> None:
+    """:func:`check_name` on every word of ``groups``, ``(what, words)``
+    pairs.  When all words are ASCII identifiers, one pass in C shows it;
+    otherwise each group is checked in order, its words sorted by ``str``,
+    which names the least word at fault."""
+    words = [word for _, group in groups for word in group]
+    try:
+        if "".join(words).isascii() and all(map(str.isidentifier, words)):
+            return
+    except TypeError:  # a word that is not a string
+        pass
+    for what, group in groups:
+        for word in sorted(group, key=str):
+            check_name(word, what)
 
 
 @record(frozen=True)
@@ -76,7 +97,7 @@ class Location:
 
 
 def by_id(locations) -> list[Location]:
-    return sorted(locations, key=lambda l: (l.id, l.name))
+    return sorted(locations, key=attrgetter("id", "name"))
 
 
 @record(frozen=True)
@@ -175,7 +196,7 @@ def build_resolver(insiders, identities) -> ActorResolver:
 def edge_set(edges) -> frozenset:
     """``edges`` as a frozenset of tuples; one that already is comes back
     as it is, so the snapshots of a model share their edge set."""
-    if type(edges) is frozenset and all(type(e) is tuple for e in edges):
+    if type(edges) is frozenset and set(map(type, edges)) <= {tuple}:
         return edges
     return frozenset(tuple(e) for e in edges)
 
@@ -289,17 +310,16 @@ def expr_text(e, leaf, minimum: int = _OR) -> str:
     operator (a node with an ``arg``, like ``EX``) the text of the operator,
     which its argument follows.  Atoms and prefix operators bind tightest,
     so their text never needs parentheses."""
-    match e:
-        case And(left=a, right=b):
-            text, level = f"{expr_text(a, leaf, _AND)} & {expr_text(b, leaf, _AND + 1)}", _AND
-        case Or(left=a, right=b):
-            text, level = f"{expr_text(a, leaf, _OR)} | {expr_text(b, leaf, _OR + 1)}", _OR
-        case Not(arg=a):
-            return "!" + expr_text(a, leaf, _UNARY)
-        case _ if hasattr(e, "arg"):
-            return leaf(e) + expr_text(e.arg, leaf, _UNARY)
-        case _:
-            return leaf(e)
+    cls = type(e)
+    if cls is And or cls is Or:
+        level, mark = (_AND, "&") if cls is And else (_OR, "|")
+        text = f"{expr_text(e.left, leaf, level)} {mark} {expr_text(e.right, leaf, level + 1)}"
+    elif cls is Not:
+        return "!" + expr_text(e.arg, leaf, _UNARY)
+    elif hasattr(e, "arg"):
+        return leaf(e) + expr_text(e.arg, leaf, _UNARY)
+    else:
+        return leaf(e)
     return f"({text})" if level < minimum else text
 
 
@@ -383,12 +403,14 @@ class PolicyCondition:
     """Base class of the atoms a policy condition may use."""
 
     __slots__ = ()
+    __match_args__ = ()  # an atom's fields; a record sets its own
 
 
 class PredExpr:
     """Base class of the atoms a state predicate may use."""
 
     __slots__ = ()
+    __match_args__ = ()
 
 
 @record(frozen=True)
@@ -556,23 +578,30 @@ def check_atoms(expr, what: str, language: type, locations, identities, sets, pa
     body (``what``, with its parameter ``param``), belongs to its
     ``language`` (:class:`PolicyCondition` or :class:`PredExpr`), and the
     names the atoms use against a model's ``locations``, ``identities`` and
-    identity ``sets``."""
-    for atom in leaves(expr):
-        if isinstance(atom, Pred):
+    identity ``sets``.  Atoms are checked left to right; an atom's fields
+    are the names in its class's ``__match_args__``."""
+    stack = [expr]
+    while stack:
+        atom = stack.pop()
+        cls = type(atom)
+        if cls is Not or cls is And or cls is Or:
+            stack += (atom.arg,) if cls is Not else (atom.right, atom.left)
+            continue
+        if cls is Pred:
             raise ModelError(f"{what} uses predicate {atom.name!r}, which only a formula may")
-        if not isinstance(atom, language):
-            name = type(atom).__name__
-            raise ModelError(f"{what} uses {name}, which is not a {language.__name__}")
-        loc, action = getattr(atom, "loc", None), getattr(atom, "action", None)
-        if loc is not None and loc not in locations:
-            raise ModelError(f"{what} references unknown location {loc}")
-        if action is not None and action not in ACTIONS:
-            raise ModelError(f"{what} references unknown action {action!r}")
-        s = getattr(atom, "set_name", None)
-        if s is not None and s not in sets:
-            raise ModelError(f"{what} references unknown set {s!r}")
-        named = getattr(atom, "allowed", set()) | ({getattr(atom, "identity", param)} - {param})
-        if stray := named - identities:
+        if language not in cls.__mro__:
+            raise ModelError(f"{what} uses {cls.__name__}, which is not a {language.__name__}")
+        fields = cls.__match_args__
+        if "loc" in fields and atom.loc is not None and atom.loc not in locations:
+            raise ModelError(f"{what} references unknown location {atom.loc}")
+        if "action" in fields and atom.action is not None and atom.action not in ACTIONS:
+            raise ModelError(f"{what} references unknown action {atom.action!r}")
+        if "set_name" in fields and atom.set_name is not None and atom.set_name not in sets:
+            raise ModelError(f"{what} references unknown set {atom.set_name!r}")
+        ident = atom.identity if "identity" in fields else param
+        allowed = atom.allowed if "allowed" in fields else _EMPTY
+        if not (allowed <= identities and (ident == param or ident in identities)):
+            stray = (allowed | ({ident} - {param})) - identities
             raise ModelError(f"{what} references unknown identity {min(stray)!r}")
 
 
@@ -587,7 +616,7 @@ def check_predicate(pred: StatePredicate, locations, identities, sets) -> None:
 
 def check_value(loc: Location, value: str, alphabets: dict) -> None:
     """An initial value lies in its location's alphabet, if it has one."""
-    if alphabets.get(loc) and value not in alphabets[loc]:
+    if (alphabet := alphabets.get(loc)) and value not in alphabet:
         raise ModelError(f"value {value!r} at {loc} is outside its alphabet")
 
 
@@ -630,16 +659,14 @@ class Model:
         if len(set(ids)) != len(ids) or len(set(names)) != len(names):
             raise ModelError("location ids and names must be unique")
         g = self.initial
-        for what, words in [
+        check_names([
             ("identity", self.identities),
             ("credential", set().union(*g.credentials.values())),
             ("role", set().union(*g.roles.values())),
             ("value", set(g.loc_value.values()).union(*self.value_alphabet.values())),
             ("set name", self.identity_sets),
             ("variant name", self.policy_variants),
-        ]:
-            for word in sorted(words, key=str):
-                check_name(word, what)
+        ])
         known = set(self.locations)
         for a, b in self.edges:
             if a not in known or b not in known:
@@ -659,13 +686,15 @@ class Model:
         if self.variant not in self.policy_variants:
             names = ", ".join(sorted(self.policy_variants))
             raise ModelError(f"model has no policy variant {self.variant!r}; available: {names}")
-        names = known, self.identities, self.identity_sets
+        names, checked = (known, self.identities, self.identity_sets), set()
         for vname, pmap in self.policy_variants.items():
             for loc, policies in pmap.items():
                 if loc not in known:
                     raise ModelError(f"policy variant {vname!r} targets unknown location {loc}")
-                for pol in policies:
-                    check_atoms(pol.condition, "policy condition", PolicyCondition, *names)
+                for pol in policies:  # a condition that variants share is checked once
+                    if id(pol.condition) not in checked:
+                        checked.add(id(pol.condition))
+                        check_atoms(pol.condition, "policy condition", PolicyCondition, *names)
         _check_snapshot(self.initial, known, self.identities)
         for loc, value in self.initial.loc_value.items():
             check_value(loc, value, self.value_alphabet)
@@ -719,9 +748,6 @@ class Model:
 # ---------------------------------------------------------------------------
 # State vectors and compiled access
 
-_EMPTY: frozenset = frozenset()
-
-
 class Tables:
     """Everything derived once per model over its state vector.
 
@@ -773,13 +799,18 @@ class Tables:
             self.grant[action][k] = _judge(k, [c for _, c in pairs], outside.get((k, action)))
         self.expanded, self.step = 0, None  # see transition.successors
 
+    def placed(self, key: tuple) -> dict:
+        """Location index -> the identities ``key`` places there, in identity order."""
+        at: dict = {}
+        for p in range(self.n):
+            if key[p] >= 0:
+                at.setdefault(key[p], []).append(self.ids[p])
+        return at
+
     def graph(self, key: tuple) -> InfraGraph:
         """The validated snapshot whose vector is ``key``."""
         n, ids = self.n, self.ids
-        placements: dict = {}
-        for p in range(n):
-            if key[p] >= 0:
-                placements.setdefault(self.locs[key[p]], []).append(ids[p])
+        placements = {self.locs[k]: idents for k, idents in self.placed(key).items()}
         creds, roles = dict(zip(ids, key[n : 2 * n])), dict(zip(ids, key[2 * n : 3 * n]))
         return InfraGraph(self.edges, placements, creds, roles, dict(zip(self.locs, key[3 * n :])))
 
@@ -787,11 +818,7 @@ class Tables:
         """One line for the snapshot whose vector is ``key``: the occupied
         locations in id order with their identities, then ``|`` and the
         location values."""
-        n, ids, names = self.n, self.ids, self.names
-        at: dict = {}
-        for p in range(n):
-            if key[p] >= 0:
-                at.setdefault(key[p], []).append(ids[p])
+        n, names, at = self.n, self.names, self.placed(key)
         text = " ".join(f"{names[k]}:[{','.join(at[k])}]" for k in sorted(at))
         values = " ".join(f"{names[k]}={x}" for k, x in enumerate(key[3 * n :]) if x is not None)
         return f"{text} | {values}" if values else text

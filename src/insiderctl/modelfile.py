@@ -130,6 +130,14 @@ class ModelParseError(ValueError):
 _PUNCTUATION = frozenset("!&|(),[]")
 
 
+def _location(locations: dict, name: str) -> Location:
+    """The location ``locations`` (name -> location) has under ``name``."""
+    loc = locations.get(name)
+    if loc is None:
+        raise ModelError(f"unknown location {name!r}")
+    return loc
+
+
 class _AtomParser(Parser):
     """Conditions and predicates: the shared connectives over a table that
     maps each atom name to a builder.  A builder takes the parser and the
@@ -194,10 +202,7 @@ class _AtomParser(Parser):
         return int(text)
 
     def loc(self, arg) -> Location:
-        loc = self.locations.get(self.name(arg))
-        if loc is None:
-            raise ModelError(f"unknown location {arg!r}")
-        return loc
+        return _location(self.locations, self.name(arg))
 
     def members(self, arg) -> frozenset:
         """A bracketed identity list, or the members of a named set."""
@@ -230,7 +235,7 @@ _PREDICATE_ATOMS = {
     "inset": lambda p, i, s: PInSet(p.name(i), p.name(s)),
 }
 
-# Atom class -> its name in a document; its fields print in order.
+# Atom class -> its name in a document; its fields print in order (see _atom_text).
 _ATOM_NAMES = {
     RequesterAt: "requester_at", HasCred: "has_cred", HasRole: "has_role", IsIn: "is_in",
     CountAtLeast: "count_at_least", AllAtAuthorized: "all_at_in", PEnables: "enables",
@@ -242,19 +247,24 @@ def parse_condition(text: str, locations: dict, identity_sets: dict) -> PolicyCo
     return _AtomParser(text, _CONDITION_ATOMS, "condition", locations, identity_sets).parse()
 
 
-def _arg_text(arg) -> str:
-    if isinstance(arg, Location):
-        return arg.name
-    return f"[{' '.join(sorted(arg))}]" if isinstance(arg, frozenset) else str(arg)
-
-
 def _atom_text(atom) -> str:
-    if isinstance(atom, PBool):
+    """An atom's name and its fields in order: a location by its name, an
+    identity list in brackets, sorted, and anything else as ``str``."""
+    cls = type(atom)
+    if cls is PBool:
         return "true" if atom.value else "false"
-    name = _ATOM_NAMES.get(type(atom))
+    name = _ATOM_NAMES.get(cls)
     if name is None:
         raise ModelError(f"unknown expression node {atom!r}")
-    return f"{name}({', '.join(map(_arg_text, vars(atom).values()))})"
+    args = []
+    for field in cls.__match_args__:
+        arg = getattr(atom, field)
+        if type(arg) is Location:
+            arg = arg.name
+        elif type(arg) is frozenset:
+            arg = f"[{' '.join(sorted(arg))}]"
+        args.append(str(arg))
+    return f"{name}({', '.join(args)})"
 
 
 def condition_text(expr: PolicyCondition | PredExpr) -> str:
@@ -321,9 +331,7 @@ class _Reader:
         return (key.strip(), rest.split()) if mark else self.expected(text)
 
     def loc(self, name: str) -> Location:
-        if name not in self.locations:
-            raise ModelError(f"unknown location {name!r}")
-        return self.locations[name]
+        return _location(self.locations, name)
 
     def ident(self, name: str) -> str:
         if name not in self.identities:
@@ -527,6 +535,10 @@ def serialize_model(model: Model) -> str:
     sorted.  An empty section is left out, unless its header names a
     policy variant."""
     graph, alphabet, variants = model.initial, model.value_alphabet, model.policy_variants
+    # Each condition's text, once, though variants may share a condition.
+    policies = [p for pmap in variants.values() for ps in pmap.values() for p in ps]
+    conditions = {id(p.condition): p.condition for p in policies}
+    texts = {key: condition_text(cond) for key, cond in conditions.items()}
     edges = sorted(model.edges, key=lambda e: (e[0].id, e[1].id))
     creds, roles, placed = graph.credentials, graph.roles, graph.placements
     sections = [
@@ -539,7 +551,7 @@ def serialize_model(model: Model) -> str:
         ("placements", [f"{l.name}: {' '.join(placed[l])}" for l in by_id(placed)]),
         ("values", [f"{l.name} = {graph.loc_value[l]}" for l in by_id(graph.loc_value)]),
         ("alphabets", [f"{l.name}: {' '.join(sorted(alphabet[l]))}" for l in by_id(alphabet)]),
-        *((f"policies {v}", _policy_lines(variants[v])) for v in sorted(variants)),
+        *((f"policies {v}", _policy_lines(variants[v], texts)) for v in sorted(variants)),
         (f"default_policies {model.variant}", []),
         ("insiders", [
             f"{d.id} impersonates {' '.join(sorted(d.alter_egos))} psy {d.state.psy}"
@@ -552,18 +564,16 @@ def serialize_model(model: Model) -> str:
         ]),
         ("assumptions", [f"foe {f.location.name} {f.action} {f.foe}" for f in model.assumptions]),
     ]
-    out = []
-    for header, entries in sections:
-        if entries or " " in header:
-            out += [header, *(f"  {e}" for e in entries), ""]
-    return "\n".join(out).rstrip("\n") + "\n"
+    kept = [[header, *entries] for header, entries in sections if entries or " " in header]
+    return "\n\n".join(map("\n  ".join, kept)) + "\n"
 
 
-def _policy_lines(pmap: dict) -> list[str]:
+def _policy_lines(pmap: dict, texts: dict) -> list[str]:
+    """A variant's policy entries; ``texts`` maps ``id(condition)`` to its text."""
     return [
         f"at {loc.name} allow {actions} if {cond}"
         for loc in by_id(pmap)
         for actions, cond in sorted(
-            (",".join(sorted(p.actions)), condition_text(p.condition)) for p in pmap[loc]
+            (",".join(sorted(p.actions)), texts[id(p.condition)]) for p in pmap[loc]
         )
     ]

@@ -8,6 +8,7 @@ tuples).  Tests compare engine output against these.
 """
 
 from insiderctl.model import (
+    ACTIONS,
     AllAtAuthorized,
     CondAnd,
     CondNot,
@@ -16,10 +17,12 @@ from insiderctl.model import (
     HasCred,
     HasRole,
     IsIn,
+    ModelError,
     PAt,
     PBool,
     PEnables,
     PInSet,
+    Pred,
     RequesterAt,
 )
 
@@ -262,3 +265,54 @@ def backward_closure(edge_lists, targets):
                 result.add(i)
                 changed = True
     return frozenset(result)
+
+
+# ---------------------------------------------------------------------------
+# The checks of a model's names, as Model first stated them: a generator
+# walk, five getattr calls and three sets per atom, and every group of words
+# sorted before it is checked.
+
+
+def _o_leaves(expr):
+    if isinstance(expr, CondNot):
+        yield from _o_leaves(expr.arg)
+    elif isinstance(expr, (CondAnd, CondOr)):
+        yield from _o_leaves(expr.left)
+        yield from _o_leaves(expr.right)
+    else:
+        yield expr
+
+
+def o_check_atoms(expr, what, language, locations, identities, sets, param=None):
+    """Raise the first ModelError ``check_atoms`` must raise, or none."""
+    for atom in _o_leaves(expr):
+        if isinstance(atom, Pred):
+            raise ModelError(f"{what} uses predicate {atom.name!r}, which only a formula may")
+        if not isinstance(atom, language):
+            name = type(atom).__name__
+            raise ModelError(f"{what} uses {name}, which is not a {language.__name__}")
+        loc, action = getattr(atom, "loc", None), getattr(atom, "action", None)
+        if loc is not None and loc not in locations:
+            raise ModelError(f"{what} references unknown location {loc}")
+        if action is not None and action not in ACTIONS:
+            raise ModelError(f"{what} references unknown action {action!r}")
+        s = getattr(atom, "set_name", None)
+        if s is not None and s not in sets:
+            raise ModelError(f"{what} references unknown set {s!r}")
+        named = getattr(atom, "allowed", set()) | ({getattr(atom, "identity", param)} - {param})
+        if stray := named - identities:
+            raise ModelError(f"{what} references unknown identity {min(stray)!r}")
+
+
+def o_check_name(value, what):
+    word = isinstance(value, str) and value.isascii()
+    if not (word and (value.isidentifier() or value.isdigit())):
+        raise ModelError(f"{what} must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): {value!r}")
+
+
+def o_word_rule(groups):
+    """Raise the first ModelError the word rule must raise over ``groups``,
+    ``(what, words)`` pairs in the order Model checks them, or none."""
+    for what, words in groups:
+        for word in sorted(words, key=str):
+            o_check_name(word, what)

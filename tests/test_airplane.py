@@ -1,5 +1,15 @@
+import cProfile
+import io
+import pstats
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
 import pytest
 
+from genmodels import with_passengers
+from insiderctl.cli import run_command
+from insiderctl.modelfile import serialize_model
 from insiderctl.model import AllAtAuthorized, CountAtLeast, TrueCond, enables
 from insiderctl.airplane import (
     AIRPLANE_ACTORS,
@@ -13,6 +23,7 @@ from insiderctl.airplane import (
     door,
     ex_graph,
     global_policy,
+    NAMED_STATES,
     named_infrastructure,
     named_state,
     risk_compare,
@@ -192,3 +203,67 @@ class TestFoeControlProof:
         m = four_eyes_kripke.model
         foe = m.resolver.actor_of("Eve")
         assert any(enables(m, g, cockpit, foe, "put") for g in four_eyes_kripke.graphs)
+
+
+class TestBuiltOnce:
+    """The policy variants, predicates and insider declaration are built
+    once per process; every snapshot is built per call."""
+
+    def test_models_share_the_immutable_records(self):
+        a, b = build_airplane_model("four_eyes"), build_airplane_model("four_eyes")
+        assert a == b
+        assert a.policy_variants == b.policy_variants
+        for variant, pmap in a.policy_variants.items():
+            for loc, policies in pmap.items():
+                assert policies is b.policy_variants[variant][loc]
+        assert a.named_predicates.keys() == b.named_predicates.keys()
+        for name, pred in a.named_predicates.items():
+            assert pred is b.named_predicates[name]
+        assert a.insiders == b.insiders and a.insiders[0] is b.insiders[0]
+
+    def test_models_do_not_share_their_mutable_tables(self):
+        a = build_airplane_model()
+        a.policy_variants["baseline"].clear()
+        a.named_predicates.clear()
+        a.initial.placements.clear()
+        b = build_airplane_model()
+        assert b.policy_map and b.named_predicates and b.initial.placement(cockpit)
+        assert b == build_airplane_model()
+
+    @pytest.mark.parametrize("name", sorted(NAMED_STATES))
+    def test_named_state_is_a_fresh_snapshot(self, name):
+        g, expected = named_state(name), named_state(name)
+        assert g == expected and g is not expected
+        for table in (g.placements, g.credentials, g.roles, g.loc_value):
+            table.clear()
+        assert named_state(name) == expected
+        assert named_state(name).placements
+
+    @pytest.mark.parametrize("variant", ["baseline", "four_eyes"])
+    def test_scenario_export_matches_the_document(self, variant):
+        golden = (Path(__file__).parent / "data" / "airplane.model").read_text(encoding="utf-8")
+        golden = golden.replace("default_policies baseline", f"default_policies {variant}")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert run_command(["scenario", "export", variant]) == 0
+        assert out.getvalue() == golden
+        assert serialize_model(build_airplane_model(variant)) == golden
+
+
+# Python-level calls (cProfile's count, Python 3.11) to build the airplane,
+# add one passenger and write the model document: 1 661 when every build
+# made its own policy sets and each atom check took five getattr calls and
+# three sets, 791 since; the bound is 15% above that.
+CALLS_BOUND = 910
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="call counts differ between versions")
+def test_building_and_writing_the_one_passenger_airplane_call_count():
+    def setup():
+        return serialize_model(with_passengers(build_airplane_model("baseline"), 1))
+
+    setup()
+    profile = cProfile.Profile()
+    profile.runcall(setup)
+    calls = pstats.Stats(profile).total_calls
+    assert calls <= CALLS_BOUND, f"{calls} calls"

@@ -4,11 +4,26 @@ written as a document are rejected with the same message, and the document
 at the line of the entry at fault, as its only diagnostic."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from insiderctl.ctl import EX
 from insiderctl.model import (
     ActorPsyState,
     AllAtAuthorized,
+    And,
     AtomicPolicy,
+    CountAtLeast,
+    HasCred,
+    HasRole,
+    IsIn,
+    Not,
+    Or,
+    PolicyCondition,
+    Pred,
+    PredExpr,
+    RequesterAt,
+    check_atoms,
+    check_predicate,
     FoeControl,
     InfraGraph,
     InsiderDecl,
@@ -22,6 +37,7 @@ from insiderctl.model import (
     StatePredicate,
 )
 from insiderctl.modelfile import Diagnostic, ModelParseError, parse_model
+from oracles import o_check_atoms, o_word_rule
 
 A, B = Location(0, "a"), Location(1, "b")
 IDS = frozenset({"Ann", "Ben", "Eve"})
@@ -141,3 +157,112 @@ def test_the_api_and_the_reader_give_one_message(build, entries, line, message):
     with pytest.raises(ModelParseError) as doc:
         parse_model(BASE + entries)
     assert doc.value.diagnostics == [Diagnostic(line, message)]
+
+
+# ---------------------------------------------------------------------------
+# check_atoms and the word rule against the references in tests/oracles.py:
+# the same first ModelError text, or none where they raise none.
+
+SETS = {"crew": frozenset({"Ann", "Ben"})}
+# Known and unknown names: locations (same id, other name; a new one),
+# identities (Zed and Yan are none; "a" is a parameter), sets and actions.
+LOCS = st.sampled_from([A, B, Location(1, "a"), Location(2, "c")])
+WHO = st.sampled_from(["Ann", "Ben", "Eve", "Zed", "Yan", "a"])
+WORD = st.sampled_from(["PIN", "x", "locked", "7"])
+LEAVES = [
+    st.builds(PBool, st.booleans()),
+    st.builds(RequesterAt, LOCS),
+    st.builds(HasCred, WORD),
+    st.builds(HasRole, WORD),
+    st.builds(IsIn, LOCS, WORD),
+    st.builds(CountAtLeast, LOCS, st.integers(1, 3)),
+    st.builds(AllAtAuthorized, LOCS, st.frozensets(WHO, max_size=4)),
+    st.builds(PEnables, LOCS, WHO, st.sampled_from(["get", "move", "put", "fly"])),
+    st.builds(PAt, WHO, LOCS),
+    st.builds(PInSet, WHO, st.sampled_from(["crew", "gang"])),
+    st.builds(Pred, st.sampled_from(["p", "q"])),
+    st.sampled_from(["true", 3, None, EX(Pred("p"))]),  # not atom records
+]
+TREES = st.recursive(
+    st.one_of(LEAVES),
+    lambda kids: st.one_of(
+        st.builds(Not, kids), st.builds(And, kids, kids), st.builds(Or, kids, kids)
+    ),
+    max_leaves=8,
+)
+PARAM = st.sampled_from([None, "a", "p1", "Ann"])
+# Words and non-words (with a character outside ASCII, a mark, a leading
+# digit, the empty string, and a value that is not a string at all).
+TOKENS = st.one_of(
+    st.sampled_from(["PIN", "x", "_y", "7", "x-y", "1a", "", "\u00e9", "\u0661", "a b", 5]),
+    st.text(max_size=3),
+)
+WORDS = st.frozensets(TOKENS, max_size=4)
+
+
+def error(check, *args) -> str | None:
+    try:
+        check(*args)
+    except ModelError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES, PARAM)
+def test_check_atoms_raises_what_the_reference_does(expr, param):
+    names = {A, B}, IDS, SETS
+    for language in (PolicyCondition, PredExpr):
+        args = (expr, "this", language, *names, param)
+        assert error(check_atoms, *args) == error(o_check_atoms, *args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TREES, PARAM)
+def test_check_predicate_raises_what_the_reference_does(body, param):
+    def reference(pred, *names):
+        if pred.param in names[1]:
+            raise ModelError(f"predicate 'p' parameter {pred.param!r} shadows a model identity")
+        o_check_atoms(pred.body, "predicate 'p'", PredExpr, *names, pred.param)
+
+    pred, names = StatePredicate("p", body, param), ({A, B}, IDS, SETS)
+    assert error(check_predicate, pred, *names) == error(reference, pred, *names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WORDS, WORDS, WORDS, WORDS, WORDS, WORDS, TREES, TREES, PARAM)
+def test_model_raises_what_the_references_do(
+    idents, creds, roles, values, set_names, variants, cond, body, param
+):
+    identities = IDS | idents
+    groups = [
+        ("identity", identities),
+        ("credential", creds),
+        ("role", roles),
+        ("value", values),
+        ("set name", {"crew", *set_names}),
+        ("variant name", {"base", *variants}),
+    ]
+
+    def build():
+        return model(
+            identities=identities,
+            initial=InfraGraph((), {}, {"Ann": creds}, {"Ann": roles}, {}),
+            value_alphabet={A: values},
+            identity_sets={"crew": SETS["crew"]} | {n: frozenset() for n in set_names},
+            policy_variants={"base": {A: {AtomicPolicy(cond, ("move",))}}}
+            | {v: {} for v in variants},
+            variant="base",
+            named_predicates={"p": StatePredicate("p", body, param)},
+        )
+
+    def reference():
+        o_word_rule(groups)
+        sets = {"crew": SETS["crew"]} | {n: frozenset() for n in set_names}
+        names = {A, B}, identities, sets
+        o_check_atoms(cond, "policy condition", PolicyCondition, *names)
+        if param in identities:
+            raise ModelError(f"predicate 'p' parameter {param!r} shadows a model identity")
+        o_check_atoms(body, "predicate 'p'", PredExpr, *names, param)
+
+    assert error(build) == error(reference)
