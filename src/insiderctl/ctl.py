@@ -459,10 +459,11 @@ def shortest_path(
 def _breadth_first(k: KripkeModel, sources):
     """Yield ``(j, i, label)`` as state ``j`` is first reached, from ``i``,
     breadth-first from the sorted ``sources`` along ``k``'s edges."""
-    order, edges = sorted(sources), k.edges
+    order, labels, targets, offsets = sorted(sources), k.labels, k.targets, k.offsets
     seen = set(order)
     for i in order:  # the list grows while it is walked
-        for label, j in edges[i]:
+        a, b = offsets[i], offsets[i + 1]
+        for label, j in zip(labels[a:b], targets[a:b]):
             if j not in seen:
                 seen.add(j)
                 order.append(j)

@@ -9,10 +9,12 @@ operators bind like ``!``)::
         | (f)
 
 ``EX``, ``AX``, ``EF``, ``AF``, ``EG``, ``AG``, ``E``, ``A``, ``U``, ``R``
-are reserved and cannot name predicates.  ``pretty`` emits a minimal-paren
-rendering that parses back to the same tree.  The connectives, the parser
-core and the printer are the ones policy conditions and predicates use
-(see :mod:`insiderctl.model`); this module adds the temporal operators.
+are reserved (:data:`insiderctl.model.RESERVED`) and cannot name predicates,
+nor can digits: :class:`~insiderctl.model.StatePredicate` rejects both.
+``pretty`` emits a minimal-paren rendering that parses back to the same
+tree.  The connectives, the parser core and the printer are the ones policy
+conditions and predicates use (see :mod:`insiderctl.model`); this module
+adds the temporal operators.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from __future__ import annotations
 import re
 
 from .ctl import AF, AG, AR, AU, AX, CtlFormula, EF, EG, ER, EU, EX, Pred
-from .model import Not, Parser, expr_text
-
-RESERVED = {"EX", "AX", "EF", "AF", "EG", "AG", "E", "A", "U", "R"}
+from .model import RESERVED, Not, Parser, expr_text
 
 _BRACKET = {("E", "U"): EU, ("A", "U"): AU, ("E", "R"): ER, ("A", "R"): AR}
 

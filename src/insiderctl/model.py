@@ -35,6 +35,8 @@ from operator import attrgetter
 from .record import record
 
 ACTIONS = ("get", "move", "eval", "put")
+# The words of CTL formulas' operators, which no predicate may take as its name.
+RESERVED = frozenset({"EX", "AX", "EF", "AF", "EG", "AG", "E", "A", "U", "R"})
 
 PSY_STATES = ("happy", "depressed", "disgruntled", "angry", "stressed")
 MOTIVATIONS = (
@@ -548,7 +550,8 @@ def subst_pred(expr: PredExpr, param: str, value: str) -> PredExpr:
 class StatePredicate:
     """A named boolean expression over a snapshot, optionally parameterised
     by one identity argument.  Parameterised predicates must be applied
-    before use in formulas."""
+    before use in formulas.  A formula names a predicate by a word that is
+    neither digits nor in ``RESERVED``, so no other word names one."""
 
     name: str
     body: PredExpr
@@ -556,6 +559,9 @@ class StatePredicate:
 
     def __post_init__(self) -> None:
         check_name(self.name, "predicate name")
+        if self.name.isdigit() or self.name in RESERVED:
+            words = f"digits or reserved ({', '.join(sorted(RESERVED))})"
+            raise ModelError(f"predicate name must not be {words}: {self.name!r}")
         if self.param is not None:
             check_name(self.param, "predicate parameter")
 
@@ -615,8 +621,8 @@ def check_predicate(pred: StatePredicate, locations, identities, sets) -> None:
 
 
 def check_value(loc: Location, value: str, alphabets: dict) -> None:
-    """An initial value lies in its location's alphabet, if it has one."""
-    if (alphabet := alphabets.get(loc)) and value not in alphabet:
+    """An initial value lies in its location's alphabet, if it has one, even an empty one."""
+    if (alphabet := alphabets.get(loc)) is not None and value not in alphabet:
         raise ModelError(f"value {value!r} at {loc} is outside its alphabet")
 
 
@@ -711,7 +717,7 @@ class Model:
         self.locations = tuple(by_id(self.locations))
         self.edges = edge_set(self.edges)
         self.identities = frozenset(self.identities)
-        self.value_alphabet = {l: frozenset(v) for l, v in (self.value_alphabet or {}).items() if v}
+        self.value_alphabet = {l: frozenset(v) for l, v in (self.value_alphabet or {}).items()}
         self.identity_sets = {n: frozenset(s) for n, s in (self.identity_sets or {}).items()}
         self.insiders = tuple(sorted(self.insiders, key=lambda d: d.id))
         self.assumptions = tuple(

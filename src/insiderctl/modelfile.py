@@ -31,7 +31,10 @@ bracketed list) combined with ``!``, ``&``,
 ``count_at_least(LOC, N)``, ``inset(ID, SET)`` with the same connectives,
 which CTL formulas share as well (see :class:`insiderctl.model.Parser`).
 In both, the bound N of ``count_at_least`` is a positive whole number in
-ASCII digits; a location ID is a whole number in ASCII digits.
+ASCII digits; a location ID is a whole number in ASCII digits.  A predicate
+NAME is a word that a formula can name: neither digits nor a reserved CTL
+word (``EX``, ``A``, ``U``, ...; see :data:`insiderctl.model.RESERVED`).  An
+``alphabets`` entry with no tokens (``LOC:``) admits no value at LOC.
 
 Section order is free: ``locations`` and ``identities`` are read first,
 then ``sets`` and ``alphabets``, then the rest in document order.  Each
@@ -139,31 +142,33 @@ def _location(locations: dict, name: str) -> Location:
 
 
 class _AtomParser(Parser):
-    """Conditions and predicates: the shared connectives over a table that
-    maps each atom name to a builder.  A builder takes the parser and the
-    atom's arguments, so its parameter count fixes the atom's arity."""
+    """Conditions and predicates: the shared connectives over the atoms of
+    ``_ATOMS`` whose class belongs to ``language``, ``PolicyCondition`` or
+    ``PredExpr``."""
 
     TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|\d+)|([!&|(),\[\]])|(\S))")
     END = "expression"
     error = staticmethod(lambda pos, message: ModelError(message))
 
-    def __init__(self, text, atoms, kind, locations, identity_sets):
+    def __init__(self, text, language, locations, identity_sets):
         super().__init__(text)
-        self.atoms, self.kind = atoms, kind
-        self.locations, self.identity_sets = locations, identity_sets
+        self.language, self.locations, self.identity_sets = language, locations, identity_sets
 
     def atom(self, tok):
         if tok in _PUNCTUATION:
             self.fail(f"unexpected {tok!r}")
-        build = self.atoms.get(tok)
-        if build is None:
-            raise ModelError(f"unknown {self.kind} atom {tok!r}")
-        arity = build.__code__.co_argcount - 1
-        args = self.args() if arity else ()
+        if tok == "true" or tok == "false":
+            return PBool(tok == "true")
+        cls, readers = _ATOMS.get(tok, (None, ()))
+        if cls is None or self.language not in cls.__mro__:
+            raise ModelError(f"unknown {_KINDS[self.language]} atom {tok!r}")
+        args, arity = self.args(), len(readers)
         if len(args) != arity:
             s = "" if arity == 1 else "s"
             raise ModelError(f"{tok} takes {arity} argument{s}, found {len(args)}")
-        return build(self, *args)
+        if cls is AllAtAuthorized:  # the set is resolved before the location, so reported first
+            return cls(allowed=self.members(args[1]), loc=self.loc(args[0]))
+        return cls(*[read(self, arg) for read, arg in zip(readers, args)])
 
     def args(self) -> list:
         """Parse a parenthesised argument list: each argument is a word or
@@ -213,38 +218,25 @@ class _AtomParser(Parser):
         return self.identity_sets[arg]
 
 
-_CONDITION_ATOMS = {
-    "true": lambda p: PBool(True),
-    "false": lambda p: PBool(False),
-    "requester_at": lambda p, l: RequesterAt(p.loc(l)),
-    "has_cred": lambda p, c: HasCred(p.name(c)),
-    "has_role": lambda p, r: HasRole(p.name(r)),
-    "is_in": lambda p, l, v: IsIn(p.loc(l), p.name(v)),
-    "count_at_least": lambda p, l, n: CountAtLeast(p.loc(l), p.bound(n)),
-    # The set is resolved before the location, so it is reported first.
-    "all_at_in": lambda p, l, who: AllAtAuthorized(allowed=p.members(who), loc=p.loc(l)),
+_KINDS = {PolicyCondition: "condition", PredExpr: "predicate"}
+# How a field is read by its name; every other field is a name.
+_READERS = {"loc": _AtomParser.loc, "count": _AtomParser.bound, "allowed": _AtomParser.members}
+# Each atom's name in a document -> its class, whose base gives its language, and the
+# reader of each of its fields in ``__match_args__`` order; ``true`` and ``false`` are ``PBool``.
+_ATOMS = {
+    name: (cls, tuple(_READERS.get(field, _AtomParser.name) for field in cls.__match_args__))
+    for name, cls in {
+        "requester_at": RequesterAt, "has_cred": HasCred, "has_role": HasRole, "is_in": IsIn,
+        "count_at_least": CountAtLeast, "all_at_in": AllAtAuthorized, "enables": PEnables,
+        "at": PAt, "inset": PInSet,
+    }.items()
 }
-
-_PREDICATE_ATOMS = {
-    "true": _CONDITION_ATOMS["true"],
-    "false": _CONDITION_ATOMS["false"],
-    "enables": lambda p, l, i, a: PEnables(p.loc(l), p.name(i), p.name(a)),
-    "at": lambda p, i, l: PAt(p.name(i), p.loc(l)),
-    "is_in": _CONDITION_ATOMS["is_in"],
-    "count_at_least": _CONDITION_ATOMS["count_at_least"],
-    "inset": lambda p, i, s: PInSet(p.name(i), p.name(s)),
-}
-
 # Atom class -> its name in a document; its fields print in order (see _atom_text).
-_ATOM_NAMES = {
-    RequesterAt: "requester_at", HasCred: "has_cred", HasRole: "has_role", IsIn: "is_in",
-    CountAtLeast: "count_at_least", AllAtAuthorized: "all_at_in", PEnables: "enables",
-    PAt: "at", PInSet: "inset",
-}
+_ATOM_NAMES = {cls: name for name, (cls, _) in _ATOMS.items()}
 
 
 def parse_condition(text: str, locations: dict, identity_sets: dict) -> PolicyCondition:
-    return _AtomParser(text, _CONDITION_ATOMS, "condition", locations, identity_sets).parse()
+    return _AtomParser(text, PolicyCondition, locations, identity_sets).parse()
 
 
 def _atom_text(atom) -> str:
@@ -338,11 +330,11 @@ class _Reader:
             raise ModelError(f"unknown identity {name!r}")
         return name
 
-    def expression(self, text: str, atoms: dict, kind: str):
+    def expression(self, text: str, language: type):
         try:
-            return _AtomParser(text, atoms, kind, self.locations, self.identity_sets).parse()
+            return _AtomParser(text, language, self.locations, self.identity_sets).parse()
         except ModelError as exc:
-            raise ModelError(f"bad {kind}: {exc}") from None
+            raise ModelError(f"bad {_KINDS[language]}: {exc}") from None
 
     def read(self, text: str) -> Model:
         """Read the sections in ``_DECLARATIONS`` first, then the others in
@@ -460,7 +452,7 @@ class _Reader:
 
     def read_policies(self, text: str) -> None:
         where, actions, text = self.words(text)
-        loc, cond = self.loc(where), self.expression(text, _CONDITION_ATOMS, "condition")
+        loc, cond = self.loc(where), self.expression(text, PolicyCondition)
         policy = AtomicPolicy(cond, actions.split(","))
         check_atoms(cond, "policy condition", PolicyCondition, *self.names)
         self.pmap.setdefault(loc, set()).add(policy)
@@ -483,7 +475,7 @@ class _Reader:
 
     def read_predicates(self, text: str) -> None:
         name, param, body = (_PREDICATE.fullmatch(text) or self.expected(text)).groups()
-        expr = self.expression(body, _PREDICATE_ATOMS, "predicate")
+        expr = self.expression(body, PredExpr)
         if name in self.named_predicates:
             raise ModelError(f"duplicate predicate {name!r}")
         pred = StatePredicate(name, expr, param=param)
@@ -550,7 +542,7 @@ def serialize_model(model: Model) -> str:
         ("roles", [f"{i}: {' '.join(sorted(roles[i]))}" for i in sorted(roles)]),
         ("placements", [f"{l.name}: {' '.join(placed[l])}" for l in by_id(placed)]),
         ("values", [f"{l.name} = {graph.loc_value[l]}" for l in by_id(graph.loc_value)]),
-        ("alphabets", [f"{l.name}: {' '.join(sorted(alphabet[l]))}" for l in by_id(alphabet)]),
+        ("alphabets", [" ".join([f"{l.name}:", *sorted(alphabet[l])]) for l in by_id(alphabet)]),
         *((f"policies {v}", _policy_lines(variants[v], texts)) for v in sorted(variants)),
         (f"default_policies {model.variant}", []),
         ("insiders", [

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from insiderctl.ctl import AG, AU, AX, EF, ER, EU, EX, Pred
-from insiderctl.formula import FormulaParseError, parse_formula, pretty
-from insiderctl.model import And, Not, Or
+from insiderctl.formula import RESERVED, FormulaParseError, parse_formula, pretty
+from insiderctl.model import And, ModelError, Not, Or, PBool, StatePredicate
+from insiderctl.modelfile import ModelParseError, parse_model
 
 
 class TestParse:
@@ -88,7 +89,7 @@ class TestParse:
 names = st.sampled_from(["p", "q", "eve_ok", "r2", "goal"])
 
 
-def formulas():
+def formulas(names=names):
     unary = st.sampled_from([Not, EX, AX, EF])
     binary = st.sampled_from([And, Or, AU, EU, ER])
     return st.recursive(
@@ -116,3 +117,27 @@ class TestPretty:
     @given(formulas())
     def test_roundtrip(self, f):
         assert parse_formula(pretty(f)) == f
+
+
+# Words, digit strings and the reserved words: every name check_name admits.
+predicate_names = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,4}", fullmatch=True),
+    st.sampled_from(sorted(RESERVED)),
+)
+
+
+@given(predicate_names, st.data())
+def test_every_predicate_name_is_rejected_or_round_trips(name, data):
+    """A name ``StatePredicate`` accepts is one a formula can name, so
+    ``pretty`` parses back over it; a name it rejects draws exactly one
+    diagnostic, at the entry that declares it."""
+    try:
+        StatePredicate(name, PBool())
+    except ModelError as exc:
+        with pytest.raises(ModelParseError) as doc:
+            parse_model(f"locations\n  a 0\npredicates\n  {name} := true\n")
+        assert [(d.line, d.message) for d in doc.value.diagnostics] == [(4, str(exc))]
+        return
+    f = data.draw(formulas(st.sampled_from([name, "p"])))
+    assert parse_formula(pretty(f)) == f

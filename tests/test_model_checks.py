@@ -65,6 +65,10 @@ def insider(psy, motives=()) -> Model:
     return model(insiders=(InsiderDecl("Eve", {"Ann"}, ActorPsyState(psy, motives)),))
 
 
+PREDICATE_NAME = (
+    "predicate name must not be digits or reserved (A, AF, AG, AX, E, EF, EG, EX, R, U): "
+)
+
 # name -> (API build, document entries after BASE, line, message)
 CASES = {
     "unknown action in a policy": (
@@ -103,6 +107,9 @@ CASES = {
     "value outside its alphabet": (
         lambda: model(initial=InfraGraph((), {}, {}, {}, {A: "x"}), value_alphabet={A: {"y"}}),
         "alphabets\n  a: y\nvalues\n  a = x\n", 9, "value 'x' at a is outside its alphabet"),
+    "value with an empty alphabet": (
+        lambda: model(initial=InfraGraph((), {}, {}, {}, {A: "x"}), value_alphabet={A: set()}),
+        "alphabets\n  a:\nvalues\n  a = x\n", 9, "value 'x' at a is outside its alphabet"),
     "value outside its alphabet, declared after it": (
         lambda: model(initial=InfraGraph((), {}, {}, {}, {A: "x"}), value_alphabet={A: {"y"}}),
         "values\n  a = x\nalphabets\n  a: y\n", 7, "value 'x' at a is outside its alphabet"),
@@ -138,6 +145,12 @@ CASES = {
         lambda: model(named_predicates={"caf\u00e9": StatePredicate("caf\u00e9", PBool())}),
         "predicates\n  caf\u00e9 := true\n", 7,
         "predicate name must be a word ([A-Za-z_][A-Za-z0-9_]* or digits): 'caf\u00e9'"),
+    "predicate named by digits": (
+        lambda: model(named_predicates={"42": StatePredicate("42", PBool())}),
+        "predicates\n  42 := true\n", 7, PREDICATE_NAME + "'42'"),
+    "predicate named by a reserved word": (
+        lambda: model(named_predicates={"EX": StatePredicate("EX", PBool())}),
+        "predicates\n  EX := true\n", 7, PREDICATE_NAME + "'EX'"),
     "predicate parameter that is not a word": (
         lambda: predicate(PBool(), "\u00e9"),
         "predicates\n  p(\u00e9) := true\n", 7,

@@ -31,6 +31,8 @@ from insiderctl.model import (
     PBool,
     PEnables,
     PInSet,
+    PolicyCondition,
+    PredExpr,
     RequesterAt,
     StatePredicate,
 )
@@ -117,6 +119,20 @@ class TestRoundTrip:
             return
         text = serialize_model(build(name))
         assert parse_model(text) == build(name)
+        assert serialize_model(parse_model(text)) == text
+
+    def test_empty_alphabet_round_trips(self):
+        """An empty alphabet is kept, and written with no trailing space."""
+        a = Location(0, "a")
+        model = Model(
+            locations=(a,), edges=(), identities={"Ann"},
+            initial=InfraGraph((), {}, {}, {}, {}), policy_variants={"baseline": {}},
+            value_alphabet={a: set()},
+        )
+        assert model.value_alphabet == {a: frozenset()}
+        text = serialize_model(model)
+        assert "\nalphabets\n  a:\n" in text
+        assert parse_model(text) == model
         assert serialize_model(parse_model(text)) == text
 
 
@@ -355,6 +371,28 @@ class TestDiagnostics:
         diags = self.err(f"locations\n  a 0\n{line} count_at_least(a, {bound})\n")
         message = f"count_at_least needs a whole-number bound, found {bound!r}"
         assert [str(d) for d in diags] == [f"line 4: bad {kind}: {message}"]
+
+    @pytest.mark.parametrize(
+        "cls, name", sorted(modelfile._ATOM_NAMES.items(), key=lambda item: item[1]),
+        ids=sorted(modelfile._ATOM_NAMES.values()),
+    )
+    def test_every_atom_keeps_to_its_language_and_arity(self, cls, name):
+        """An atom outside its language is unknown there, and one argument
+        too many names the atom's field count."""
+        entries = {
+            "condition": (PolicyCondition, "policies b\n  at a allow move if"),
+            "predicate": (PredExpr, "predicates\n  p :="),
+        }
+        arity = len(cls.__match_args__)
+        s = "" if arity == 1 else "s"
+        args = ", ".join(["x"] * (arity + 1))
+        for kind, (language, entry) in entries.items():
+            diags = self.err(f"locations\n  a 0\n{entry} {name}({args})\n")
+            if issubclass(cls, language):
+                message = f"{name} takes {arity} argument{s}, found {arity + 1}"
+            else:
+                message = f"unknown {kind} atom {name!r}"
+            assert [str(d) for d in diags] == [f"line 4: bad {kind}: {message}"]
 
     @pytest.mark.parametrize("lid", ["\u00b2", "\u0663"])
     def test_location_id_is_ascii_digits(self, lid):
