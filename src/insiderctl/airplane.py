@@ -31,6 +31,7 @@ from .model import (
     And,
     AtomicPolicy,
     CountAtLeast,
+    FoeControl,
     HasCred,
     InfraGraph,
     InsiderDecl,
@@ -207,12 +208,10 @@ def security(model: Model, graph: InfraGraph, identity: str) -> bool:
 def cockpit_foe_control():
     """The assumption needed to close the global security proof: Eve is
     disabled for ``put`` at the cockpit whenever someone else is there."""
-    from .model import FoeControl
-
     return FoeControl(cockpit, "put", "Eve")
 
 
-@record(frozen=True)
+@record
 class RiskComparison:
     one_person: float
     two_person: float

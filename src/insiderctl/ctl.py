@@ -113,7 +113,7 @@ class KripkeModel:
     index: dict
 
     def __post_init__(self) -> None:
-        self._sat = {}  # the cache of label()
+        object.__setattr__(self, "_sat", {})  # the cache of label()
         n, targets, offsets = len(self.states), self.targets, self.offsets
         ends = (offsets[0], offsets[-1], len(self.labels)) if len(offsets) == n + 1 else None
         if ends != (0, len(targets), len(targets)):
@@ -133,7 +133,7 @@ class KripkeModel:
                 raise ModelError(
                     f"state {j} is not initial and has no predecessor with a lower number"
                 )
-        self._backward = tuple(map(tuple, preds)), tuple(degree)
+        object.__setattr__(self, "_backward", (tuple(map(tuple, preds)), tuple(degree)))
 
     @property
     def edges(self) -> list[OutEdges]:
@@ -258,55 +258,55 @@ class CtlFormula:
 # and predicates share.
 
 
-@record(frozen=True)
+@record
 class EX(CtlFormula):
     arg: CtlFormula
 
 
-@record(frozen=True)
+@record
 class AX(CtlFormula):
     arg: CtlFormula
 
 
-@record(frozen=True)
+@record
 class EF(CtlFormula):
     arg: CtlFormula
 
 
-@record(frozen=True)
+@record
 class AF(CtlFormula):
     arg: CtlFormula
 
 
-@record(frozen=True)
+@record
 class EG(CtlFormula):
     arg: CtlFormula
 
 
-@record(frozen=True)
+@record
 class AG(CtlFormula):
     arg: CtlFormula
 
 
-@record(frozen=True)
+@record
 class EU(CtlFormula):
     left: CtlFormula
     right: CtlFormula
 
 
-@record(frozen=True)
+@record
 class AU(CtlFormula):
     left: CtlFormula
     right: CtlFormula
 
 
-@record(frozen=True)
+@record
 class ER(CtlFormula):
     left: CtlFormula
     right: CtlFormula
 
 
-@record(frozen=True)
+@record
 class AR(CtlFormula):
     left: CtlFormula
     right: CtlFormula
@@ -417,7 +417,7 @@ def _check_reference(k, formula, quant, kind, a, b, result) -> None:
         raise MonotonicityError(f"{type(formula).__name__} disagrees with its fixpoint")
 
 
-@record(frozen=True)
+@record
 class Verdict:
     holds: bool
     sat: frozenset[int]
@@ -434,7 +434,7 @@ def check(k: KripkeModel, formula: CtlFormula, *, debug: bool = False) -> Verdic
 # Paths, witnesses, counterexamples
 
 
-@record(frozen=True)
+@record
 class TracePath:
     """A labelled path: ``states[0]`` is an initial state and
     ``labels[i]`` takes ``states[i]`` to ``states[i + 1]``."""

@@ -27,7 +27,7 @@ LOCKOUT = 300.0
 _INF = float("inf")
 
 
-@record(frozen=True)
+@record
 class DoorState:
     mode: str = NORMAL
     clock: float = 0.0
@@ -43,7 +43,7 @@ class DoorState:
                 raise ValueError(f"door {what} {_fmt(t)} is not finite")
 
 
-@record(frozen=True)
+@record
 class DoorEvent:
     kind: str  # lock | unlock | pin_correct | pin_incorrect | epsilon
     dt: float = 0.0
@@ -89,7 +89,7 @@ def door_step(state: DoorState, event: DoorEvent) -> DoorState:
     return DoorState(state.mode, clock, pin_timer)
 
 
-@record(frozen=True)
+@record
 class TraceStep:
     event: DoorEvent
     state: DoorState

@@ -82,7 +82,7 @@ def check_names(groups) -> None:
             check_name(word, what)
 
 
-@record(frozen=True)
+@record
 class Location:
     """A named node of the infrastructure map.  Ordered by numeric id."""
 
@@ -102,7 +102,7 @@ def by_id(locations) -> list[Location]:
     return sorted(locations, key=attrgetter("id", "name"))
 
 
-@record(frozen=True)
+@record
 class ActorPsyState:
     """Psychological disposition: one psychic state plus a motivation set."""
 
@@ -122,7 +122,7 @@ def tipping_point(state: ActorPsyState) -> bool:
     return bool(state.motivations) and state.psy != "happy"
 
 
-@record(frozen=True)
+@record
 class InsiderDecl:
     """Declares that ``id`` can impersonate each identity in ``alter_egos``
     once its tipping point is reached."""
@@ -138,7 +138,7 @@ class InsiderDecl:
             raise ModelError(f"insider {self.id!r} cannot list itself as an alter ego")
 
 
-@record(frozen=True)
+@record
 class ActorResolver:
     """Partition of the identity universe into actor classes, each named by
     its representative, its least member.
@@ -203,7 +203,7 @@ def edge_set(edges) -> frozenset:
     return frozenset(tuple(e) for e in edges)
 
 
-@record(frozen=True)
+@record
 class InfraGraph:
     """A snapshot: edges, placements, credentials, roles, location values.
 
@@ -267,18 +267,18 @@ class InfraGraph:
 # formulas: the nodes, a walk over their atoms, one printer, one parser core
 
 
-@record(frozen=True)
+@record
 class Not:
     arg: object
 
 
-@record(frozen=True)
+@record
 class And:
     left: object
     right: object
 
 
-@record(frozen=True)
+@record
 class Or:
     left: object
     right: object
@@ -415,19 +415,19 @@ class PredExpr:
     __match_args__ = ()
 
 
-@record(frozen=True)
+@record
 class PBool(PolicyCondition, PredExpr):
     """The constant ``true`` or ``false``."""
 
     value: bool = True
 
 
-@record(frozen=True)
+@record
 class RequesterAt(PolicyCondition):
     loc: Location
 
 
-@record(frozen=True)
+@record
 class HasCred(PolicyCondition):
     cred: str
 
@@ -435,7 +435,7 @@ class HasCred(PolicyCondition):
         check_name(self.cred, "credential")
 
 
-@record(frozen=True)
+@record
 class HasRole(PolicyCondition):
     role: str
 
@@ -443,7 +443,7 @@ class HasRole(PolicyCondition):
         check_name(self.role, "role")
 
 
-@record(frozen=True)
+@record
 class IsIn(PolicyCondition, PredExpr):
     loc: Location
     value: str
@@ -452,7 +452,7 @@ class IsIn(PolicyCondition, PredExpr):
         check_name(self.value, "value")
 
 
-@record(frozen=True)
+@record
 class CountAtLeast(PolicyCondition, PredExpr):
     loc: Location
     count: int
@@ -462,7 +462,7 @@ class CountAtLeast(PolicyCondition, PredExpr):
             raise ModelError(f"count_at_least needs a positive bound, got {self.count}")
 
 
-@record(frozen=True)
+@record
 class AllAtAuthorized(PolicyCondition):
     loc: Location
     allowed: frozenset[str]
@@ -471,20 +471,20 @@ class AllAtAuthorized(PolicyCondition):
         object.__setattr__(self, "allowed", frozenset(self.allowed))
 
 
-@record(frozen=True)
+@record
 class PEnables(PredExpr):
     loc: Location
     identity: str
     action: str
 
 
-@record(frozen=True)
+@record
 class PAt(PredExpr):
     identity: str
     loc: Location
 
 
-@record(frozen=True)
+@record
 class PInSet(PredExpr):
     identity: str
     set_name: str
@@ -493,7 +493,7 @@ class PInSet(PredExpr):
         check_name(self.set_name, "set name")
 
 
-@record(frozen=True)
+@record
 class Pred:
     """A named predicate: the atom of CTL formulas, and only of those."""
 
@@ -504,7 +504,7 @@ class Pred:
 TrueCond, PIsIn, PCountAtLeast = PBool, IsIn, CountAtLeast
 
 
-@record(frozen=True)
+@record
 class AtomicPolicy:
     """A (condition, action set) pair attached to a location."""
 
@@ -519,7 +519,7 @@ class AtomicPolicy:
             raise ModelError(f"unknown action {min(bad)!r}")
 
 
-@record(frozen=True)
+@record
 class FoeControl:
     """Assumption: ``foe`` is disabled for ``action`` at ``location`` whenever
     someone outside the foe's actor class is present there."""
@@ -546,7 +546,7 @@ def subst_pred(expr: PredExpr, param: str, value: str) -> PredExpr:
     return expr
 
 
-@record(frozen=True)
+@record
 class StatePredicate:
     """A named boolean expression over a snapshot, optionally parameterised
     by one identity argument.  Parameterised predicates must be applied
@@ -641,7 +641,8 @@ class Model:
     ``named_predicates`` default to empty.  ``resolver`` (the model's
     :class:`ActorResolver`) and ``_tables`` (its state-vector layout and
     everything compiled over it; see :func:`tables`) are derived from the
-    fields.
+    fields.  No field can be reassigned, so the tables always describe the
+    model; :meth:`with_variant` and :meth:`with_assumptions` build a new one.
     """
 
     locations: tuple[Location, ...]
@@ -714,22 +715,23 @@ class Model:
     def _normalise(self) -> None:
         """The fields in their canonical types and orders, and the resolver.
         The document reader, which runs every check above, runs only this."""
-        self.locations = tuple(by_id(self.locations))
-        self.edges = edge_set(self.edges)
-        self.identities = frozenset(self.identities)
-        self.value_alphabet = {l: frozenset(v) for l, v in (self.value_alphabet or {}).items()}
-        self.identity_sets = {n: frozenset(s) for n, s in (self.identity_sets or {}).items()}
-        self.insiders = tuple(sorted(self.insiders, key=lambda d: d.id))
-        self.assumptions = tuple(
+        own = vars(self)  # the fields are frozen; the model is still being built
+        own["locations"] = tuple(by_id(self.locations))
+        own["edges"] = edge_set(self.edges)
+        own["identities"] = frozenset(self.identities)
+        own["value_alphabet"] = {l: frozenset(v) for l, v in (self.value_alphabet or {}).items()}
+        own["identity_sets"] = {n: frozenset(s) for n, s in (self.identity_sets or {}).items()}
+        own["insiders"] = tuple(sorted(self.insiders, key=lambda d: d.id))
+        own["assumptions"] = tuple(
             sorted(self.assumptions, key=lambda f: (f.location.id, f.action, f.foe))
         )
-        self.policy_variants = {
+        own["policy_variants"] = {
             vname: {loc: frozenset(pols) for loc, pols in pmap.items() if pols}
             for vname, pmap in self.policy_variants.items()
         }
-        self.named_predicates = dict(self.named_predicates or {})
-        self.resolver = build_resolver(self.insiders, self.identities)
-        self._tables = None  # built on first use by tables()
+        own["named_predicates"] = dict(self.named_predicates or {})
+        own["resolver"] = build_resolver(self.insiders, self.identities)
+        own["_tables"] = None  # built on first use by tables()
 
     @property
     def policy_map(self) -> dict:
@@ -844,9 +846,10 @@ class Tables:
 
 def tables(model: Model) -> Tables:
     """``model``'s :class:`Tables`, built on first use."""
-    if model._tables is None:
-        model._tables = Tables(model)
-    return model._tables
+    t = model._tables
+    if t is None:
+        t = vars(model)["_tables"] = Tables(model)
+    return t
 
 
 def _judge(k: int, conds: list, outside: dict | None):
@@ -955,8 +958,8 @@ def enables(model: Model, graph: InfraGraph, loc: Location, rep: str, action: st
     assumption overrides the policies: the foe's class is denied whenever
     someone outside that class is present at the location.  Runs the
     judgment compiled over ``graph``'s state vector (see :class:`Tables`)."""
-    v = encode(model, graph)
-    judges, k = model._tables.grant.get(action), model._tables.loc_pos.get(loc)
+    v, t = encode(model, graph), tables(model)
+    judges, k = t.grant.get(action), t.loc_pos.get(loc)
     judge = None if judges is None or k is None else judges[k]
     return judge is not None and judge(v, rep)
 

@@ -111,7 +111,7 @@ SECTIONS = tuple(SHAPES)
 HEADER_ARGUMENT = frozenset({"policies", "default_policies"})
 
 
-@record(frozen=True)
+@record
 class Diagnostic:
     line: int
     message: str

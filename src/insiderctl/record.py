@@ -1,23 +1,22 @@
 """Record classes: the part of :mod:`dataclasses` this package uses, built
 at a fraction of its import and class-creation cost.
 
-``@record`` and ``@record(frozen=True)`` turn a class's annotated
-attributes into fields in order, as ``@dataclass`` does, and add
-``__init__`` (which calls ``__post_init__`` when the class has one),
-``__repr__``, ``__eq__`` and ``__match_args__``.  A frozen record also
-gets ``__hash__`` and assignment and deletion that raise
-:class:`FrozenInstanceError`; ``object.__setattr__`` still works.  A
-mutable record is unhashable.  A record is exactly its fields: each is an
-``__init__`` argument, with at most a plain class-level default, and each
-is printed, compared and hashed.  State derived from the fields, such as
-a cache or an index, is a plain attribute that ``__post_init__`` sets
-(through ``object.__setattr__`` on a frozen record); it takes no part in
-the record's text, equality or hash.  Each method does what the one
-``dataclasses`` writes does, and runs at least as fast, because it is
-generated source too; but a class takes one compile, not several ``exec``
-calls and an ``inspect.signature``, and classes with the same field layout
-share it.  ``__dataclass_fields__`` lets ``dataclasses.is_dataclass``,
-``replace`` and ``fields`` take records.
+``@record`` turns a class's annotated attributes into fields in order, as
+``@dataclass(frozen=True)`` does, and adds ``__init__`` (which calls
+``__post_init__`` when the class has one), ``__repr__``, ``__eq__``,
+``__hash__`` and ``__match_args__``.  Every record is frozen: assignment
+and deletion raise :class:`FrozenInstanceError`, and
+``object.__setattr__`` still works.  A record is exactly its fields: each
+is an ``__init__`` argument, with at most a plain class-level default, and
+each is printed, compared and hashed.  State derived from the fields, such
+as a cache or an index, is a plain attribute set through
+``object.__setattr__`` or ``vars(self)``; it takes no part in the record's
+text, equality or hash.  Each method does what the one ``dataclasses`` writes
+does, and runs at least as fast, because it is generated source too; but a
+class takes one compile, not several ``exec`` calls and an
+``inspect.signature``, and classes with the same field layout share it.
+``__dataclass_fields__`` lets ``dataclasses.is_dataclass``, ``replace``
+and ``fields`` take records.
 
 Not supported, because no record needs them: ``dataclasses.field`` and
 its options, fields inherited from a record base, ``ClassVar`` and
@@ -31,7 +30,7 @@ MISSING = object()
 
 
 class FrozenInstanceError(AttributeError):
-    """Raised on assignment to, or deletion of, a field of a frozen record."""
+    """Raised on assignment to, or deletion of, a field of a record."""
 
 
 class Field:
@@ -62,7 +61,7 @@ def _frozen_delattr(self, name):
 _CODE: dict = {}  # generated source -> its code object, shared by equal layouts
 
 
-def _methods(fields: list, frozen: bool, post_init: bool) -> tuple[str, list]:
+def _methods(fields: list, post_init: bool) -> tuple[str, list]:
     """The source of ``make(_set, ...)``, which returns the record's
     ``__init__``, ``__repr__``, ``__eq__`` and ``__hash__``, and the
     defaults that ``make`` takes after ``_set``."""
@@ -75,7 +74,7 @@ def _methods(fields: list, frozen: bool, post_init: bool) -> tuple[str, list]:
             names.append(f"_d_{n}")
             defaults.append(f.default)
             params.append(f"{n}=_d_{n}")
-        body.append(f"_set(self, {n!r}, {n})" if frozen else f"self.{n} = {n}")
+        body.append(f"_set(self, {n!r}, {n})")
     if post_init:
         body.append("self.__post_init__()")
     shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields)
@@ -98,14 +97,15 @@ def _methods(fields: list, frozen: bool, post_init: bool) -> tuple[str, list]:
     return source, defaults
 
 
-def _build(cls, frozen: bool):
+def record(cls):
+    """Class decorator; see the module docstring."""
     # A plain default stays a class attribute, as dataclasses leaves it.
     fields = {
         name: Field(name, annotation, cls.__dict__.get(name, MISSING))
         for name, annotation in cls.__dict__.get("__annotations__", {}).items()
     }
     listed = list(fields.values())
-    source, defaults = _methods(listed, frozen, hasattr(cls, "__post_init__"))
+    source, defaults = _methods(listed, hasattr(cls, "__post_init__"))
     code = _CODE.get(source)
     if code is None:
         code = _CODE[source] = compile(source, "<record>", "exec")
@@ -115,21 +115,12 @@ def _build(cls, frozen: bool):
     for fn in made:
         fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
     made[0].__annotations__ = {f.name: f.type for f in listed} | {"return": None}
-    methods = dict(zip(("__init__", "__repr__", "__eq__", "__hash__"), made))
-    if frozen:
-        methods.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
-    else:
-        methods["__hash__"] = None
-    methods["__match_args__"] = tuple(fields)
+    methods = dict(
+        zip(("__init__", "__repr__", "__eq__", "__hash__"), made),
+        __setattr__=_frozen_setattr, __delattr__=_frozen_delattr, __match_args__=tuple(fields),
+    )
     for name, value in methods.items():
         if name not in cls.__dict__:
             setattr(cls, name, value)
     cls.__dataclass_fields__ = fields
     return cls
-
-
-def record(cls=None, /, *, frozen: bool = False):
-    """Class decorator; see the module docstring."""
-    if cls is None:
-        return lambda cls: _build(cls, frozen)
-    return _build(cls, frozen)

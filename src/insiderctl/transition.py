@@ -37,7 +37,7 @@ from .record import record
 THRESHOLD = 64  # states of a model expanded with closures before it gets its own function
 
 
-@record(frozen=True)
+@record
 class TransitionLabel:
     """Identifies one rule instance.
 

@@ -37,7 +37,10 @@ from insiderctl.model import (
     tipping_point,
     vector_condition,
 )
+from insiderctl.ctl import check, reachable
+from insiderctl.formula import parse_formula
 from insiderctl.modelfile import parse_model, serialize_model
+from insiderctl.record import FrozenInstanceError
 from insiderctl.airplane import (
     aid_graph,
     build_airplane_model,
@@ -432,6 +435,42 @@ class TestModelValidation:
         start = InfraGraph(g.edges, g.placements, given["credentials"], given["roles"], g.loc_value)
         with pytest.raises(ModelError, match="snapshot names 'Zed', which the model lacks"):
             m._clone(initial=start)
+
+
+class TestFrozenModel:
+    """A model and its Kripke structure are fixed values: a field cannot be
+    reassigned or deleted after their tables are built, so a variant comes
+    only from ``with_variant`` or ``with_assumptions``."""
+
+    def test_fields_refuse_assignment_after_exploration(self):
+        m = build_airplane_model("four_eyes")
+        k = reachable(m)
+        for obj, name, value in [
+            (m, "assumptions", (cockpit_foe_control(),)),
+            (m, "variant", "baseline"),
+            (m, "variant", "nonexistent"),
+            (k, "states", []),
+        ]:
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(obj, name, value)
+        with pytest.raises(FrozenInstanceError, match="cannot delete field 'variant'"):
+            del m.variant
+        assert m.variant == "four_eyes" and m.assumptions == () and len(k.states) == 21
+
+    def test_a_parsed_model_refuses_assignment(self):
+        m = parse_model(serialize_model(build_airplane_model("baseline")))
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'variant'"):
+            m.variant = "four_eyes"
+
+    def test_variants_come_from_new_models(self):
+        four_eyes = build_airplane_model("four_eyes")
+        eve_ok = parse_formula("AG eve_ok")
+        assert not check(reachable(four_eyes), eve_ok).holds
+        assumed = four_eyes.with_assumptions([cockpit_foe_control()])
+        assert check(reachable(assumed), eve_ok).holds
+        baseline = build_airplane_model("baseline")
+        assert len(reachable(baseline).states) == 243
+        assert len(reachable(baseline.with_variant("four_eyes")).states) == 21
 
 
 def test_encode_names_the_same_lacking_location_under_every_hash_seed(monkeypatch):
