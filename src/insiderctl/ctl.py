@@ -43,7 +43,7 @@ from .model import And, InfraGraph, Model, ModelError, Not, Or, Pred, encode, le
 from .model import vector_condition
 from .model import eval_predicate  # noqa: F401  (bench/layers.py times calls to ctl.eval_predicate)
 from .record import record
-from .transition import TransitionLabel, successors
+from .transition import TransitionLabel, _successors, successors
 
 
 class ExplorationLimitError(RuntimeError):
@@ -178,7 +178,7 @@ class Exploration:
     """Breadth-first search over state vectors from ``model.initial``:
     ``states`` in discovery order, ``index`` from vector to position, and
     the labelled edges of the states expanded so far, laid out as in
-    :class:`KripkeModel`."""
+    :class:`KripkeModel`; :func:`successors` writes each state's row."""
 
     __slots__ = ("model", "states", "index", "targets", "labels", "offsets", "max_states")
 
@@ -187,22 +187,14 @@ class Exploration:
         self.targets, self.labels, self.offsets = [], [], [0]
         self.index = {self.states[0]: 0}
 
-    def discover(self):
-        """Yield ``(j, i, label)`` as state ``j`` is first reached, from ``i``."""
-        model, states, index, cap = self.model, self.states, self.index, self.max_states
-        add_target, add_label = self.targets.append, self.labels.append
-        for i, v in enumerate(states):  # the list grows while it is walked
-            for label, succ in successors(model, v):
-                j = i if succ is v else index.get(succ)
-                if j is None:
-                    if cap is not None and len(states) >= cap:
-                        raise ExplorationLimitError(f"state space exceeds the cap of {cap} states")
-                    j = index[succ] = len(states)
-                    states.append(succ)
-                    yield j, i, label
-                add_target(j)
-                add_label(label)
-            self.offsets.append(len(self.targets))
+    def add(self, v: tuple) -> int:
+        """The number of the new state ``v``, once the cap admits it."""
+        j, cap = len(self.states), self.max_states
+        if cap is not None and j >= cap:
+            raise ExplorationLimitError(f"state space exceeds the cap of {cap} states")
+        self.index[v] = j
+        self.states.append(v)
+        return j
 
 
 def reachable(model: Model, *, max_states: int | None = None) -> KripkeModel:
@@ -211,8 +203,8 @@ def reachable(model: Model, *, max_states: int | None = None) -> KripkeModel:
     raises :class:`ExplorationLimitError` when ``max_states`` is exceeded.
     ``index`` maps each state's vector to its index."""
     x = Exploration(model, max_states)
-    for _ in x.discover():
-        pass
+    for v in x.states:  # the list grows while it is walked
+        successors(model, v, x)
     return KripkeModel(model, x.states, x.targets, x.labels, x.offsets, frozenset({0}), x.index)
 
 
@@ -547,14 +539,34 @@ def find_witness(model: Model, formula: CtlFormula, *, max_states: int | None = 
     fails) and the states it indexes.  For ``g`` of predicates, ``!``, ``&``
     and ``|``, compiled by :func:`~insiderctl.model.vector_condition`, the
     search stops at the first goal state, and ``k`` is that
-    :class:`Exploration`; otherwise ``k`` is ``reachable(model)``."""
+    :class:`Exploration`, cut back to end there; otherwise ``k`` is
+    ``reachable(model)``."""
     _trace_rule(formula, "witness")
     if not all(isinstance(atom, Pred) for atom in leaves(formula.arg)):
         k = reachable(model, max_states=max_states)
         return k, shortest_path(k, eval_ctl(k, formula.arg))
-    goal = vector_condition(formula.arg, tables(model))
-    x = Exploration(model, max_states)
-    return x, _first_path(x.discover(), (0,), lambda j: goal(x.states[j], None))
+    t, x = tables(model), Exploration(model, max_states)
+    goal, states = vector_condition(formula.arg, t), x.states
+    if goal(states[0], None):
+        return x, TracePath((0,), ())
+    for i, v in enumerate(states):  # the list grows while it is walked
+        before, full = len(states), None
+        try:
+            successors(model, v, x)
+        except ExplorationLimitError as exc:  # a goal reached before the cap still wins
+            full = exc
+        j = next((j for j in range(before, len(states)) if goal(states[j], None)), None)
+        if j is None and full:
+            raise full
+        if j is not None:  # cut back to the states up to j and the rows before i
+            for w in states[j + 1 :]:
+                del x.index[w]
+            a = x.offsets[i]
+            del states[j + 1 :], x.offsets[i + 1 :], x.targets[a:], x.labels[a:]
+            path = shortest_path(x, frozenset({i}), sources=frozenset({0}))
+            label = next(label for label, w in _successors(t, v) if w == states[j])
+            return x, TracePath(path.states + (j,), path.labels + (label,))
+    return x, None
 
 
 # ---------------------------------------------------------------------------

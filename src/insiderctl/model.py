@@ -21,7 +21,7 @@ records.  :func:`vector_condition` compiles any such tree over a model's
 state vector and says what each atom means: :func:`enables`,
 :func:`eval_predicate` and the witness search run it.  Its one twin is
 ``nextstate._cond``, which writes the same meaning into the generated
-next-state function; ``tests/test_nextstate.py`` checks that the two agree.
+row writer; ``tests/test_nextstate.py`` checks that the two agree.
 Each check of a model's names has one owner here, which :class:`Model` and
 the document reader each run once: a record's constructor or a ``check_`` function.
 
@@ -31,6 +31,7 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 from operator import attrgetter
+from types import MappingProxyType
 
 from .record import record
 
@@ -726,10 +727,13 @@ class Model:
             sorted(self.assumptions, key=lambda f: (f.location.id, f.action, f.foe))
         )
         own["policy_variants"] = {
-            vname: {loc: frozenset(pols) for loc, pols in pmap.items() if pols}
+            vname: MappingProxyType({loc: frozenset(pols) for loc, pols in pmap.items() if pols})
             for vname, pmap in self.policy_variants.items()
         }
         own["named_predicates"] = dict(self.named_predicates or {})
+        # Read-only views, so the tables compiled from them can never go stale.
+        for name in ("value_alphabet", "identity_sets", "policy_variants", "named_predicates"):
+            own[name] = MappingProxyType(own[name])
         own["resolver"] = build_resolver(self.insiders, self.identities)
         own["_tables"] = None  # built on first use by tables()
 
@@ -806,6 +810,7 @@ class Tables:
         for (k, action), pairs in granted.items():
             self.grant[action][k] = _judge(k, [c for _, c in pairs], outside.get((k, action)))
         self.expanded, self.step = 0, None  # see transition.successors
+        self.texts = ({}, {})  # see describe
 
     def placed(self, key: tuple) -> dict:
         """Location index -> the identities ``key`` places there, in identity order."""
@@ -825,10 +830,17 @@ class Tables:
     def describe(self, key: tuple) -> str:
         """One line for the snapshot whose vector is ``key``: the occupied
         locations in id order with their identities, then ``|`` and the
-        location values."""
-        n, names, at = self.n, self.names, self.placed(key)
-        text = " ".join(f"{names[k]}:[{','.join(at[k])}]" for k in sorted(at))
-        values = " ".join(f"{names[k]}={x}" for k, x in enumerate(key[3 * n :]) if x is not None)
+        location values.  Each half's text is kept, keyed by its slots."""
+        n, names, (where, what) = self.n, self.names, self.texts
+        text = where.get(key[:n])
+        if text is None:
+            at = self.placed(key)
+            text = where[key[:n]] = " ".join(f"{names[k]}:[{','.join(at[k])}]" for k in sorted(at))
+        values = what.get(key[3 * n :])
+        if values is None:
+            pairs = enumerate(key[3 * n :])
+            values = " ".join(f"{names[k]}={x}" for k, x in pairs if x is not None)
+            what[key[3 * n :]] = values
         return f"{text} | {values}" if values else text
 
     def predicate(self, name: str, arg: str | None = None):

@@ -1,13 +1,15 @@
-"""One straight-line next-state function per model, compiled once (as SPIN
-writes a verifier per model, and LTSmin's PINS a next-state function).
+"""One straight-line row writer per model, compiled once (as SPIN writes a
+verifier per model, its search loop and state store one piece of code).
 
 The judgment atoms, the foe-control exclusion, each class's positions, the
 move targets, the writable slots and the alphabets are unrolled into the
-source, and constant guards folded.  The function returns the list the
-closures of :mod:`insiderctl.transition` return: the same labels, equal
-vectors, the same order.  The source holds only integers, slot indices and
-text written here; every name and value reaches it through a constants
-tuple.  Models with equal sources share one code object.
+source, and constant guards folded.  ``row(v, x)`` writes the out-edges of
+the next state ``v`` that the exploration ``x`` expands, as
+:func:`~insiderctl.transition.successors` does from the closures: the same
+labels, the same targets in the same order, new states numbered as they
+are first reached.  The source holds only integers, slot indices and text
+written here; every name and value reaches it through a constants tuple.
+Models with equal sources share one code object.
 """
 
 from .model import AllAtAuthorized, And, CountAtLeast, HasCred, HasRole, IsIn, Not, Or
@@ -64,9 +66,9 @@ def _cond(e, rep: str, t: Tables, const):
 
 
 def source(t: Tables) -> tuple:
-    """The text of ``make(G, N, C)``, which returns ``t``'s next-state
-    function; the constants ``C``; and ``N``, which interns the label of a
-    key that ``t.labels`` (whose ``get`` is ``G``) lacks."""
+    """The text of ``make(G, K, C)``, which returns ``t``'s row writer; the
+    constants ``C``; and ``K``, which interns the label of a key that
+    ``t.labels`` (whose ``get`` is ``G``) lacks."""
     n, reps, labels, ids, locs = t.n, t.reps, t.labels, t.ids, t.locs
     classes, constants, names = dict.fromkeys(reps), [], {}
 
@@ -79,7 +81,7 @@ def source(t: Tables) -> tuple:
         return names[key]
 
     def new(key: tuple):
-        return labels.setdefault(key, _label(ids, locs, *key))
+        return labels.get(key) or labels.setdefault(key, _label(ids, locs, *key))
 
     def guard(action: str, k: int, rep: str):
         """The judgment of ``action`` at location ``k`` for the class ``rep``."""
@@ -89,8 +91,11 @@ def source(t: Tables) -> tuple:
             holds = _join(" and ", [f"w.count({k}) == {own}", holds])
         return holds
 
+    target = "(j if (j := get(s := {}, -1)) >= 0 else N(s))".format  # its number, interned if new
+
     xs = "".join(f"x{p}, " for p in range(n))
-    body = ["out = []", "a = out.append", f"w = v[:{n}]", f"({xs}) = w"]
+    body = ["i, T, L = len(x.offsets) - 1, x.targets, x.labels", f"w = v[:{n}]", f"({xs}) = w"]
+    body.append("get, N, at, al = x.index.get, x.add, T.append, L.append")
     guards: dict = {}  # (action, k, rep) -> True or a local; absent when False
     for action, ks in (("move", t.targets), ("put", t.writable)):
         for rep in classes:
@@ -106,9 +111,10 @@ def source(t: Tables) -> tuple:
         moves = [(k, guards["move", k, rep]) for k in t.targets if ("move", k, rep) in guards]
         if moves:
             body += [f"if x{p} in {set(t.targets)}:", f" b = v[:{p}]", f" e = v[{p + 1}:]"]
-        for k, g in moves:
-            succ = f"v if x{p} == {k} else b + ({k},) + e"  # a move in place leaves v
-            line = f'a((G(q := ("move", {p}, x{p}, {k})) or N(q), {succ}))'
+        for k, g in moves:  # labelled by the source location; a move in place leaves v
+            src = [new(("move", p, a, k)) if a in t.targets else None for a in range(len(locs))]
+            succ = target(f"b + ({k},) + e")
+            line = f"al({const(tuple(src))}[x{p}]); at(i if x{p} == {k} else {succ})"
             body.append(f" {line}" if g is True else f" if {g}: {line}")
 
     for p, rep in enumerate(reps):
@@ -125,34 +131,40 @@ def source(t: Tables) -> tuple:
             "  if w[r] == k:",
             f"   h = v[{n} + r]",
             "   for c in cs:",
-            f'    a((G(q := ("get", r, {p}, k, c)) or N(q), '
-            f"v if c in h else v[:{n} + r] + (h | {{c}},) + v[{n + 1} + r:]))",
+            f'    al(G(q := ("get", r, {p}, k, c)) or K(q))',
+            f"    at(i if c in h else {target(f'v[:{n} + r] + (h | {{c}},) + v[{n + 1} + r:]')})",
         ]
 
-    for k in t.writable:  # s{k}: the successors writing each value at k
-        holds = _join(" or ", [guards.get(("put", k, rep), False) for rep in classes])
-        if holds is not False:
-            j, cs = 3 * n + k, map(const, t.alphabet[k])  # putting the current value u leaves v
-            values = "".join(f"v if u == {c} else b + ({c},) + e, " for c in cs)
-            lines = [f"u = v[{j}]", f"b = v[:{j}]", f"e = v[{j + 1}:]", f"s{k} = ({values})"]
-            body += lines if holds is True else [f"if {holds}:", *(" " + x for x in lines)]
+    puts, used = [], set()
     for rule in ("put", "put_remote"):
         for p, rep in enumerate(reps):
-            puts = [(k, guards["put", k, rep]) for k in t.writable if ("put", k, rep) in guards]
-            for i, (k, g) in enumerate(puts):
-                keys = [(rule, p, k, x) for x in t.alphabet[k]]
-                line = f"out += zip({const(tuple(labels.get(q) or new(q) for q in keys))}, s{k})"
+            ks = [(k, guards["put", k, rep]) for k in t.writable if ("put", k, rep) in guards]
+            for m, (k, g) in enumerate(ks):
+                used.add(k)
+                row = const(tuple(new((rule, p, k, x)) for x in t.alphabet[k]))
+                line = f"T += P{k} or (P{k} := s{k}(v, i, get, N)); L += {row}"
                 test = g if rule == "put_remote" else _join(" and ", [f"x{p} == {k}", g])
-                el = "el" if i and rule == "put" else ""
-                body.append(line if test is True else f"{el}if {test}: {line}")
+                el = "el" if m and rule == "put" else ""
+                puts.append(line if test is True else f"{el}if {test}: {line}")
+    body += [f"P{k} = ()" for k in sorted(used)] + puts
+
+    # s{k}: the targets of writing each value at k, found on the first row
+    # that writes k, so that states are numbered in edge order.
+    writes = []
+    for k in sorted(used):  # putting the current value u leaves v
+        j, cs = 3 * n + k, map(const, t.alphabet[k])
+        values = ", ".join(f"i if u == {c} else {target(f'b + ({c},) + e')}" for c in cs)
+        writes += [f" def s{k}(v, i, get, N):", f"  u, b, e = v[{j}], v[:{j}], v[{j + 1}:]"]
+        writes.append(f"  return [{values}]")
 
     names = "".join(f"c{i}, " for i in range(len(constants)))
-    body = [f" ({names}) = C", " def successors(v):", *(f"  {x}" for x in body), "  return out"]
-    return "\n".join(["def make(G, N, C):", *body, " return successors"]), constants, new
+    body = [f" ({names}) = C", *writes, " def row(v, x):", *(f"  {x}" for x in body)]
+    body += ["  x.offsets.append(len(T))", " return row"]
+    return "\n".join(["def make(G, K, C):", *body]), constants, new
 
 
 def build(t: Tables):
-    """``t``'s next-state function, or ``None`` when its source does not
+    """``t``'s row writer, or ``None`` when its source does not
     compile (a condition nested deeper than Python's parser takes)."""
     try:
         text, constants, new = source(t)

@@ -21,8 +21,10 @@ flat tuple of location indices, credential and role sets and values (see
 :class:`~insiderctl.model.Tables`) that hashes and compares in C.  A rule
 instance changes one slot of it, so :func:`successors` derives each
 successor's vector by replacing that slot and reuses one interned label per
-rule instance of the model.  After ``THRESHOLD`` states of a model it runs
-the model's generated next-state function (:mod:`insiderctl.nextstate`).
+rule instance of the model.  An exploration has it write each state's edge
+row in place; after ``THRESHOLD`` states of a model, the model's generated
+row writer (:mod:`insiderctl.nextstate`) does, and the closures stay the
+reference.
 
 The ``eval`` action exists in the action vocabulary but has no transition
 rule; policies granting only ``eval`` are flagged by :func:`lint_model`.
@@ -84,21 +86,31 @@ def _label(ids: tuple, locs: tuple, rule: str, p: int, a: int, b, cred=None) -> 
     return TransitionLabel(rule, ids[p], loc=locs[a], value=b)
 
 
-def successors(model: Model, v: tuple) -> list:
+def successors(model: Model, v: tuple, x=None) -> list | range:
     """The ``(label, successor vector)`` pairs of every enabled rule
     instance from the state vector ``v``, in deterministic order.  Each
     successor replaces one slot of ``v``; a no-op instance (a move to the
     current location, a credential already held, the current value) leads
-    to ``v`` itself.  Labels are interned in ``tables(model).labels``."""
+    to ``v`` itself.  Labels are interned in ``tables(model).labels``.  With
+    an :class:`~insiderctl.ctl.Exploration` ``x`` that expands ``v`` next,
+    they are written as ``v``'s edge row, and its positions returned."""
     t = tables(model)
-    if t.step is not None:
-        return t.step(v)
-    t.expanded += 1
-    if t.expanded == THRESHOLD:
-        from .nextstate import build  # a small exploration never loads it
+    if x is None:
+        return _successors(t, v)
+    start = len(x.targets)
+    if t.step is None:
+        t.expanded += 1
+        if t.expanded == THRESHOLD:
+            from .nextstate import build  # a small exploration never loads it
 
-        t.step = build(t)
-    return _successors(t, v)
+            t.step = build(t)
+        i, get, pairs = len(x.offsets) - 1, x.index.get, _successors(t, v)
+        x.labels += [label for label, _ in pairs]
+        x.targets += [i if s is v else j if (j := get(s, -1)) >= 0 else x.add(s) for _, s in pairs]
+        x.offsets.append(len(x.targets))
+    else:
+        t.step(v, x)
+    return range(start, len(x.targets))
 
 
 def _successors(t: Tables, v: tuple) -> list:

@@ -223,12 +223,26 @@ class TestBuiltOnce:
 
     def test_models_do_not_share_their_mutable_tables(self):
         a = build_airplane_model()
-        a.policy_variants["baseline"].clear()
-        a.named_predicates.clear()
+        with pytest.raises(AttributeError):  # a model's tables are read-only views
+            a.policy_variants["baseline"].clear()
+        with pytest.raises(AttributeError):
+            a.named_predicates.clear()
         a.initial.placements.clear()
         b = build_airplane_model()
         assert b.policy_map and b.named_predicates and b.initial.placement(cockpit)
         assert b == build_airplane_model()
+
+    def test_a_model_cannot_drift_from_its_compiled_tables(self):
+        m = build_airplane_model("four_eyes")
+        assert len(reachable(m).states) == 21
+        with pytest.raises(TypeError):
+            m.policy_variants["four_eyes"] = m.policy_variants["baseline"]
+        tables = (m.policy_variants, m.value_alphabet, m.identity_sets, m.named_predicates)
+        for table in (*tables, m.policy_map):
+            with pytest.raises(TypeError):
+                table[next(iter(table))] = None
+        assert len(reachable(m).states) == 21 and len(reachable(m._clone()).states) == 21
+        assert len(reachable(m.with_variant("baseline")).states) == 243
 
     @pytest.mark.parametrize("name", sorted(NAMED_STATES))
     def test_named_state_is_a_fresh_snapshot(self, name):

@@ -41,7 +41,7 @@ from insiderctl.ctl import (
     find_witness,
     reachable,
 )
-from insiderctl.model import And, Not, Or, PAt, StatePredicate
+from insiderctl.model import And, IsIn, Not, Or, PAt, StatePredicate, tables
 from insiderctl.modelfile import parse_model, serialize_model
 from insiderctl.transition import successors
 
@@ -247,6 +247,21 @@ def test_witness_stops_at_the_first_goal_state(baseline_model):
     model = cockpit_goal(baseline_model)
     explored, path = find_witness(model, EF(Pred("goal")))
     assert len(path) == 1 and path.states[-1] + 1 == len(explored.states) < 243
+    assert_cap_counts_states_up_to_the_goal(model, Pred("goal"), path)
+
+
+def test_witness_past_the_threshold_stops_at_the_goal(baseline_model):
+    """The goal, state 157, is first reached from state 64, a row that the
+    generated writer writes; a cap of 158 raises in that row after the goal."""
+    placed = And(PAt("Alice", airplane.door), PAt("Bob", airplane.cockpit))
+    placed = And(placed, PAt("Charly", airplane.cabin))
+    values = And(IsIn(airplane.door, "locked"), IsIn(airplane.cockpit, "ground"))
+    model = with_goal(baseline_model, And(placed, values))
+    path = assert_same_witness(reachable(model), Pred("goal"), "past the threshold")
+    assert path.states == (0, 1, 13, 64, 157)
+    explored, _ = find_witness(model, EF(Pred("goal")))
+    assert len(explored.offsets) == 65 and explored.offsets[-1] == len(explored.targets)
+    assert len(explored.index) == 158 and tables(model).step is not None
     assert_cap_counts_states_up_to_the_goal(model, Pred("goal"), path)
 
 

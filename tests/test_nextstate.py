@@ -1,12 +1,15 @@
-"""The generated next-state function against the closures it stands in for.
+"""The generated row writer against the closures it stands in for.
 
-``nextstate.build`` is called directly here, so no threshold is involved: on
-every reachable state of the seeded random models (deadlocking ones among
-them) and of the airplane variants, with and without the cockpit foe-control
-assumption and with extra passengers, it must return the list the closures
-return, with the same label objects, equal vectors and the same order.  The
-other tests pin what the threshold switches, what enters the source, and the
-exit-code contract for conditions nested deeper than Python compiles.
+Each model is explored twice from state 0 over one label table: once with
+the generated writer (``nextstate.build``) expanding every state, so no
+threshold is involved, and once with the closures alone.  On the seeded
+random models (deadlocking ones among them) and on the airplane variants,
+with and without the cockpit foe-control assumption and with extra
+passengers, the two must number the same states in the same order and
+write the same edge rows with the same label objects.  The other tests pin
+what the threshold switches, where a state cap past it raises, what enters
+the source, and the exit-code contract for conditions nested deeper than
+Python compiles.
 """
 
 import re
@@ -16,7 +19,7 @@ import pytest
 from children import run_python
 from genmodels import random_model, with_passengers
 from insiderctl import airplane, nextstate, transition
-from insiderctl.ctl import check, dot_export, reachable
+from insiderctl.ctl import ExplorationLimitError, KripkeModel, check, dot_export, reachable
 from insiderctl.formula import parse_formula
 from insiderctl.model import (
     ActorPsyState,
@@ -36,7 +39,6 @@ from insiderctl.model import (
     PEnables,
     RequesterAt,
     StatePredicate,
-    encode,
     tables,
 )
 from insiderctl.modelfile import parse_model, serialize_model
@@ -56,50 +58,64 @@ def airplane_model(variant: str, foe: bool, pax: int) -> Model:
     return with_passengers(model, pax)
 
 
-def closure_states(model: Model) -> list:
-    """The reachable state vectors, found with the closures alone."""
+def assert_same_rows(model: Model) -> KripkeModel:
+    """Explore ``model`` with the generated writer from state 0 and with the
+    closures alone; the two must agree.  Returns the closures' structure."""
     t = tables(model)
-    states = [encode(model, model.initial)]
-    seen = set(states)
-    for v in states:
-        for _, succ in transition._successors(t, v):
-            if succ not in seen:
-                seen.add(succ)
-                states.append(succ)
-    return states
+    t.step = nextstate.build(t)
+    assert t.step is not None
+    generated = reachable(model)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transition, "THRESHOLD", 10**9)
+        t.step = None
+        closures = reachable(model)
+    assert_same_structure(generated, closures)
+    for v in closures.states:  # a no-op instance gives v itself, which needs no lookup
+        assert all((s is v) == (s == v) for _, s in transition.successors(model, v))
+    return closures
 
 
-def assert_same_successors(model: Model) -> list:
-    """Compare the two paths on every reachable state, self-loops included;
-    return the states."""
-    t = tables(model)
-    step = nextstate.build(t)
-    assert step is not None
-    states = closure_states(model)
-    for v in states:
-        got, want = step(v), transition._successors(t, v)
-        assert len(got) == len(want), v
-        for (label, succ), (label_want, succ_want) in zip(got, want):
-            assert label is label_want and succ == succ_want, (v, label, label_want)
-            # a no-op instance gives v itself, whose index exploration needs no lookup for
-            assert (succ is v) == (succ_want is v) == (succ == v), (v, label)
-    return states
+def assert_same_structure(k: KripkeModel, ref: KripkeModel) -> None:
+    for name in ("states", "targets", "offsets", "index"):
+        assert getattr(k, name) == getattr(ref, name), name
+    assert len(k.labels) == len(ref.labels)
+    assert all(a is b for a, b in zip(k.labels, ref.labels))
 
 
 def test_random_models_seeds_0_to_199():
     deadlocking = 0
     for seed in range(200):
-        model = random_model(seed)
-        states = assert_same_successors(model)
-        t = tables(model)
-        deadlocking += any(not transition._successors(t, v) for v in states)
+        k = assert_same_rows(random_model(seed))
+        deadlocking += any(a == b for a, b in zip(k.offsets, k.offsets[1:]))
     assert deadlocking > 0
 
 
 @pytest.mark.parametrize("name", AIRPLANES)
 def test_airplane_variants(name):
-    states = assert_same_successors(airplane_model(*AIRPLANES[name]))
-    assert len(states) == (21 if name.startswith("four_eyes") else 243 * 2 ** AIRPLANES[name][2])
+    k = assert_same_rows(airplane_model(*AIRPLANES[name]))
+    assert len(k.states) == (21 if name.startswith("four_eyes") else 243 * 2 ** AIRPLANES[name][2])
+
+
+def test_three_passengers_match_the_closures(monkeypatch):
+    model = airplane_model("baseline", False, 3)
+    k = reachable(model)
+    assert len(k.states) == 1944 and tables(model).step is not None
+    monkeypatch.setattr(transition, "THRESHOLD", 10**9)
+    tables(model).step = None
+    assert_same_structure(k, reachable(model))
+
+
+@pytest.mark.parametrize("cap", [65, 100, 242, 243])
+def test_a_cap_past_the_threshold_raises_where_the_closures_do(monkeypatch, cap):
+    def outcome():
+        try:
+            return len(reachable(airplane_model("baseline", False, 0), max_states=cap).states)
+        except ExplorationLimitError as exc:
+            return str(exc)
+
+    generated = outcome()
+    monkeypatch.setattr(transition, "THRESHOLD", 10**9)
+    assert generated == outcome() == (243 if cap == 243 else f"state space exceeds the cap of {cap} states")
 
 
 def test_successors_switches_at_the_threshold():
@@ -229,7 +245,7 @@ def test_a_long_chain_compiles_flat():
         depth += (ch == "(") - (ch == ")")
         deepest = max(deepest, depth)
     assert deepest < 10
-    assert_same_successors(model._clone(policy_variants={"baseline": policies}))
+    assert_same_rows(model._clone(policy_variants={"baseline": policies}))
 
 
 SHAPES = {

@@ -12,6 +12,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from types import MappingProxyType
 
 import pytest
 
@@ -81,7 +82,7 @@ def gather(roots) -> dict:
             stack.extend(vars(x).values())
         elif isinstance(x, (list, tuple, set, frozenset)):
             stack.extend(x)
-        elif isinstance(x, dict):
+        elif isinstance(x, (dict, MappingProxyType)):
             stack.extend(x)
             stack.extend(x.values())
     return found
