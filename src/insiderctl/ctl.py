@@ -3,14 +3,16 @@
 Each state is a flat state vector, ``encode(model, graph)``, of location
 indices, credential and role sets and values (the policy map and the edges
 live in the model and never change along a transition, so they are factored
-out).  The reachable set is explored breadth-first over vectors with
-deterministic indexing (:class:`Exploration`): :func:`successors` derives
-each successor's vector from the source's and the rule's one-slot delta, and
-no snapshot (:class:`InfraGraph`) is built.  Predicates run compiled over the
-vectors, and traces and DOT are rendered from them; ``KripkeModel.graph(i)``
-builds a state's snapshot on request.  State sets are ``frozenset``s of indices.
+out).  The reachable set is explored breadth-first over vectors, with
+deterministic indexing, in an :class:`~insiderctl.transition.Exploration`
+that :func:`successors` writes one whole edge row at a time; the state cap
+is checked between rows, and no snapshot (:class:`InfraGraph`) is built.
+Predicates run compiled over the vectors, and traces and DOT are rendered
+from them; ``KripkeModel.graph(i)`` builds a state's snapshot on request.
+State sets are ``frozenset``s of indices.
 :func:`find_witness` compiles a propositional goal with
-:func:`~insiderctl.model.vector_condition`, and stops at the first state in it.
+:func:`~insiderctl.model.vector_condition`, stops at the first state in it,
+and takes its path over the rows written.
 
 Labelling runs two primitives, each linear in states and distinct edges,
 over an index: :meth:`~KripkeModel.backward`, each state's distinct
@@ -43,7 +45,7 @@ from .model import And, InfraGraph, Model, ModelError, Not, Or, Pred, encode, le
 from .model import vector_condition
 from .model import eval_predicate  # noqa: F401  (bench/layers.py times calls to ctl.eval_predicate)
 from .record import record
-from .transition import TransitionLabel, _successors, successors
+from .transition import Exploration, TransitionLabel, successors
 
 
 class ExplorationLimitError(RuntimeError):
@@ -174,38 +176,22 @@ class KripkeModel:
         return sat
 
 
-class Exploration:
-    """Breadth-first search over state vectors from ``model.initial``:
-    ``states`` in discovery order, ``index`` from vector to position, and
-    the labelled edges of the states expanded so far, laid out as in
-    :class:`KripkeModel`; :func:`successors` writes each state's row."""
-
-    __slots__ = ("model", "states", "index", "targets", "labels", "offsets", "max_states")
-
-    def __init__(self, model: Model, max_states: int | None = None):
-        self.model, self.max_states, self.states = model, max_states, [encode(model, model.initial)]
-        self.targets, self.labels, self.offsets = [], [], [0]
-        self.index = {self.states[0]: 0}
-
-    def add(self, v: tuple) -> int:
-        """The number of the new state ``v``, once the cap admits it."""
-        j, cap = len(self.states), self.max_states
-        if cap is not None and j >= cap:
-            raise ExplorationLimitError(f"state space exceeds the cap of {cap} states")
-        self.index[v] = j
-        self.states.append(v)
-        return j
-
-
 def reachable(model: Model, *, max_states: int | None = None) -> KripkeModel:
     """Breadth-first closure of the transition rules from the initial
     snapshot, over state vectors.  States are indexed by discovery order;
     raises :class:`ExplorationLimitError` when ``max_states`` is exceeded.
     ``index`` maps each state's vector to its index."""
-    x = Exploration(model, max_states)
+    x = Exploration(model, encode(model, model.initial))
     for v in x.states:  # the list grows while it is walked
         successors(model, v, x)
+        _within(len(x.states), max_states)
     return KripkeModel(model, x.states, x.targets, x.labels, x.offsets, frozenset({0}), x.index)
+
+
+def _within(n: int, max_states: int | None) -> None:
+    """Raise :class:`ExplorationLimitError` if ``n`` states exceed ``max_states``."""
+    if max_states is not None and n > max_states:
+        raise ExplorationLimitError(f"state space exceeds the cap of {max_states} states")
 
 
 # ---------------------------------------------------------------------------
@@ -539,33 +525,30 @@ def find_witness(model: Model, formula: CtlFormula, *, max_states: int | None = 
     fails) and the states it indexes.  For ``g`` of predicates, ``!``, ``&``
     and ``|``, compiled by :func:`~insiderctl.model.vector_condition`, the
     search stops at the first goal state, and ``k`` is that
-    :class:`Exploration`, cut back to end there; otherwise ``k`` is
-    ``reachable(model)``."""
+    :class:`~insiderctl.transition.Exploration`, cut back to end there; the
+    cap counts the states up to the goal.  States are numbered
+    breadth-first, so the shortest path over the rows written is the one on
+    the whole structure.  Otherwise ``k`` is ``reachable(model)``."""
     _trace_rule(formula, "witness")
     if not all(isinstance(atom, Pred) for atom in leaves(formula.arg)):
         k = reachable(model, max_states=max_states)
         return k, shortest_path(k, eval_ctl(k, formula.arg))
-    t, x = tables(model), Exploration(model, max_states)
-    goal, states = vector_condition(formula.arg, t), x.states
+    x = Exploration(model, encode(model, model.initial))
+    goal, states = vector_condition(formula.arg, tables(model)), x.states
     if goal(states[0], None):
         return x, TracePath((0,), ())
     for i, v in enumerate(states):  # the list grows while it is walked
-        before, full = len(states), None
-        try:
-            successors(model, v, x)
-        except ExplorationLimitError as exc:  # a goal reached before the cap still wins
-            full = exc
+        before = len(states)
+        successors(model, v, x)
         j = next((j for j in range(before, len(states)) if goal(states[j], None)), None)
-        if j is None and full:
-            raise full
+        _within(len(states) if j is None else j + 1, max_states)
         if j is not None:  # cut back to the states up to j and the rows before i
+            path = shortest_path(x, frozenset({j}), sources=frozenset({0}))
             for w in states[j + 1 :]:
                 del x.index[w]
             a = x.offsets[i]
             del states[j + 1 :], x.offsets[i + 1 :], x.targets[a:], x.labels[a:]
-            path = shortest_path(x, frozenset({i}), sources=frozenset({0}))
-            label = next(label for label, w in _successors(t, v) if w == states[j])
-            return x, TracePath(path.states + (j,), path.labels + (label,))
+            return x, path
     return x, None
 
 

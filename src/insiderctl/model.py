@@ -774,6 +774,8 @@ class Tables:
     edges, which no rule changes; ``targets`` are the indices of the
     locations they touch, where ``move`` may go.  :func:`encode` turns a
     snapshot into a vector, and :meth:`graph` a vector into a snapshot.
+    ``step`` is the model's generated row writer, once an exploration has
+    built it (see :func:`~insiderctl.transition.successors`).
     """
 
     def __init__(self, model: Model) -> None:
@@ -809,7 +811,7 @@ class Tables:
         self.grant = {action: [None] * len(locs) for action in ACTIONS}
         for (k, action), pairs in granted.items():
             self.grant[action][k] = _judge(k, [c for _, c in pairs], outside.get((k, action)))
-        self.expanded, self.step = 0, None  # see transition.successors
+        self.step = None
         self.texts = ({}, {})  # see describe
 
     def placed(self, key: tuple) -> dict:

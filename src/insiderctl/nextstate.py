@@ -3,12 +3,14 @@ verifier per model, its search loop and state store one piece of code).
 
 The judgment atoms, the foe-control exclusion, each class's positions, the
 move targets, the writable slots and the alphabets are unrolled into the
-source, and constant guards folded.  ``row(v, x)`` writes the out-edges of
-the next state ``v`` that the exploration ``x`` expands, as
-:func:`~insiderctl.transition.successors` does from the closures: the same
-labels, the same targets in the same order, new states numbered as they
-are first reached.  The source holds only integers, slot indices and text
-written here; every name and value reaches it through a constants tuple.
+source, constant guards folded, and equal guards held in one local.
+``row(v, x)`` writes the whole edge row of the next state ``v`` that the
+exploration ``x`` expands, as the closures of
+:func:`~insiderctl.transition.successors` do: the same labels, the same
+targets in the same order, new states numbered as they are first reached.
+The source holds only integers, slot indices and text written here; every
+name and value reaches it through a constants tuple.  Nothing the writer
+holds refers to the model's tables, so it forms no reference cycle.
 Models with equal sources share one code object.
 """
 
@@ -97,15 +99,16 @@ def source(t: Tables) -> tuple:
     body = ["i, T, L = len(x.offsets) - 1, x.targets, x.labels", f"w = v[:{n}]", f"({xs}) = w"]
     body.append("get, N, at, al = x.index.get, x.add, T.append, L.append")
     guards: dict = {}  # (action, k, rep) -> True or a local; absent when False
+    local: dict = {}  # expression -> the one local that holds it
     for action, ks in (("move", t.targets), ("put", t.writable)):
         for rep in classes:
             for k in ks:
                 g = guard(action, k, rep)
                 if type(g) is str:
-                    body.append(f"g{len(guards)} = {g}")
-                    g = f"g{len(guards)}"
+                    g = local.setdefault(g, f"g{len(local)}")
                 if g is not False:
                     guards[action, k, rep] = g
+    body += [f"{g} = {e}" for e, g in local.items()]
 
     for p, rep in enumerate(reps):
         moves = [(k, guards["move", k, rep]) for k in t.targets if ("move", k, rep) in guards]

@@ -21,10 +21,10 @@ flat tuple of location indices, credential and role sets and values (see
 :class:`~insiderctl.model.Tables`) that hashes and compares in C.  A rule
 instance changes one slot of it, so :func:`successors` derives each
 successor's vector by replacing that slot and reuses one interned label per
-rule instance of the model.  An exploration has it write each state's edge
-row in place; after ``THRESHOLD`` states of a model, the model's generated
-row writer (:mod:`insiderctl.nextstate`) does, and the closures stay the
-reference.
+rule instance of the model.  It writes each state's edge row whole into an
+:class:`Exploration`, from the closures until the model has a generated row
+writer (:mod:`insiderctl.nextstate`), built at the row ``THRESHOLD - 1`` of
+an exploration; the closures stay the reference.
 
 The ``eval`` action exists in the action vocabulary but has no transition
 rule; policies granting only ``eval`` are flagged by :func:`lint_model`.
@@ -36,7 +36,7 @@ from .model import _EMPTY, InfraGraph, Location, Model, Tables, by_id, tables
 from .model import enables  # noqa: F401  (bench/layers.py times calls to transition.enables)
 from .record import record
 
-THRESHOLD = 64  # states of a model expanded with closures before it gets its own function
+THRESHOLD = 64  # rows of an exploration written with closures before the model gets its own writer
 
 
 @record
@@ -86,43 +86,59 @@ def _label(ids: tuple, locs: tuple, rule: str, p: int, a: int, b, cred=None) -> 
     return TransitionLabel(rule, ids[p], loc=locs[a], value=b)
 
 
-def successors(model: Model, v: tuple, x=None) -> list | range:
-    """The ``(label, successor vector)`` pairs of every enabled rule
-    instance from the state vector ``v``, in deterministic order.  Each
-    successor replaces one slot of ``v``; a no-op instance (a move to the
-    current location, a credential already held, the current value) leads
-    to ``v`` itself.  Labels are interned in ``tables(model).labels``.  With
-    an :class:`~insiderctl.ctl.Exploration` ``x`` that expands ``v`` next,
-    they are written as ``v``'s edge row, and its positions returned."""
+class Exploration:
+    """Breadth-first search over state vectors from ``v``: ``states`` in
+    discovery order, ``index`` from vector to position, and the edge rows
+    written so far, laid out as in :class:`~insiderctl.ctl.KripkeModel`.
+    Each row is written whole, so a caller checks a state cap between rows."""
+
+    __slots__ = ("model", "states", "index", "targets", "labels", "offsets")
+
+    def __init__(self, model: Model, v: tuple):
+        self.model, self.states, self.index = model, [v], {v: 0}
+        self.targets, self.labels, self.offsets = [], [], [0]
+
+    def add(self, v: tuple) -> int:
+        """The number of the new state ``v``."""
+        j = self.index[v] = len(self.states)
+        self.states.append(v)
+        return j
+
+
+def successors(model: Model, v: tuple, x: Exploration | None = None) -> list | range:
+    """Write the edge row of the state vector ``v``, which the
+    :class:`Exploration` ``x`` expands next, and return its positions: the
+    label and successor number of each enabled rule instance, in
+    deterministic order.  Each successor replaces one slot of ``v``; a
+    no-op instance (a move to the current location, a credential already
+    held, the current value) leads to ``v`` itself.  Without ``x``, the
+    ``(label, successor vector)`` pairs of a one-state exploration from ``v``."""
     t = tables(model)
     if x is None:
-        return _successors(t, v)
+        _row(t, v, x := Exploration(model, v))
+        return [*zip(x.labels, map(x.states.__getitem__, x.targets))]
     start = len(x.targets)
-    if t.step is None:
-        t.expanded += 1
-        if t.expanded == THRESHOLD:
+    if t.step is not None:
+        t.step(v, x)
+    else:
+        if len(x.offsets) == THRESHOLD:  # the exploration's row THRESHOLD - 1
             from .nextstate import build  # a small exploration never loads it
 
             t.step = build(t)
-        i, get, pairs = len(x.offsets) - 1, x.index.get, _successors(t, v)
-        x.labels += [label for label, _ in pairs]
-        x.targets += [i if s is v else j if (j := get(s, -1)) >= 0 else x.add(s) for _, s in pairs]
-        x.offsets.append(len(x.targets))
-    else:
-        t.step(v, x)
+        _row(t, v, x)
     return range(start, len(x.targets))
 
 
-def _successors(t: Tables, v: tuple) -> list:
-    """:func:`successors` with the guards compiled into closures."""
-    n, reps, labels, targets = t.n, t.reps, t.labels, t.targets
+def _row(t: Tables, v: tuple, x: Exploration) -> None:
+    """The row writer of :func:`successors` with the guards compiled into
+    closures: the reference for :mod:`insiderctl.nextstate`."""
+    n, reps, labels, targets, ids, locs = t.n, t.reps, t.labels, t.targets, t.ids, t.locs
     moving, getting, putting = t.grant["move"], t.grant["get"], t.grant["put"]
-    out: list = []
-    append = out.append
+    i, get, add, al, at = len(x.offsets) - 1, x.index.get, x.add, x.labels.append, x.targets.append
 
-    def label_of(key: tuple) -> TransitionLabel:
-        label = labels[key] = _label(t.ids, t.locs, *key)
-        return label
+    def edge(key: tuple, s: tuple) -> None:
+        al(labels.get(key) or labels.setdefault(key, _label(ids, locs, *key)))
+        at(i if s is v else j if (j := get(s, -1)) >= 0 else add(s))
 
     # The location indices where each class may move and put, worked out
     # once per class for this vector.
@@ -135,9 +151,7 @@ def _successors(t: Tables, v: tuple) -> list:
             if ks is None:
                 ks = moves[rep] = [k for k in targets if moving[k] and moving[k](v, rep)]
             for dst in ks:
-                succ = v if dst == src else v[:p] + (dst,) + v[p + 1 :]
-                key = ("move", p, src, dst)
-                append((labels.get(key) or label_of(key), succ))
+                edge(("move", p, src, dst), v if dst == src else v[:p] + (dst,) + v[p + 1 :])
 
     for p in range(n):
         k = v[p]
@@ -150,8 +164,7 @@ def _successors(t: Tables, v: tuple) -> list:
             held = v[n + r]
             for cred in creds:
                 succ = v if cred in held else v[: n + r] + (held | {cred},) + v[n + r + 1 :]
-                key = ("get", r, p, k, cred)
-                append((labels.get(key) or label_of(key), succ))
+                edge(("get", r, p, k, cred), succ)
 
     puts: dict = {}
     for rep in reps:
@@ -161,9 +174,7 @@ def _successors(t: Tables, v: tuple) -> list:
     def put(rule: str, p: int, k: int) -> None:
         slot = 3 * n + k
         for value in t.alphabet[k]:
-            succ = v if value == v[slot] else v[:slot] + (value,) + v[slot + 1 :]
-            key = (rule, p, k, value)
-            append((labels.get(key) or label_of(key), succ))
+            edge((rule, p, k, value), v if value == v[slot] else v[:slot] + (value,) + v[slot + 1 :])
 
     for p in range(n):
         if v[p] in puts[reps[p]]:
@@ -173,7 +184,7 @@ def _successors(t: Tables, v: tuple) -> list:
         for k in puts[reps[p]]:
             put("put_remote", p, k)
 
-    return out
+    x.offsets.append(len(x.targets))
 
 
 def lint_model(model: Model) -> list[str]:

@@ -202,25 +202,33 @@ def assert_same_witness(k, goal, label):
     return path
 
 
-def assert_cap_counts_states_up_to_the_goal(model, goal, path):
+def assert_cap_counts_states_up_to_the_goal(model, goal, path) -> bool:
+    """A cap of the goal's number plus one admits the witness, written in
+    whole rows, and one less raises; returns whether that cap falls inside
+    the goal's row, which then also reaches a state past the goal."""
     last = path.states[-1]
-    assert find_witness(model, EF(goal), max_states=last + 1)[1] == path
-    with pytest.raises(ExplorationLimitError):
+    explored, capped = find_witness(model, EF(goal), max_states=last + 1)
+    assert capped == path
+    assert len(explored.labels) == len(explored.targets) == explored.offsets[-1]
+    with pytest.raises(ExplorationLimitError) as exc:
         find_witness(model, EF(goal), max_states=last)
+    assert str(exc.value) == f"state space exceeds the cap of {last} states"
+    preds = reachable(model).backward()[0]
+    return last + 1 < len(preds) and path.states[-2:-1] == preds[last + 1][:1]
 
 
 def test_witness_on_the_fly_equals_the_extracted_one(random_kripkes):
     """Every goal where exploration is quick; on seed 186 (6 144 states)
     the first two."""
-    capped = 0
+    capped = inside = 0
     for seed, k in random_kripkes:
         small = len(k.states) <= 400
         for goal in propositional_goals(k.model)[: None if small else 2]:
             path = assert_same_witness(k, goal, (seed, goal))
             if path and small:
-                assert_cap_counts_states_up_to_the_goal(k.model, goal, path)
+                inside += assert_cap_counts_states_up_to_the_goal(k.model, goal, path)
                 capped += 1
-    assert capped > 100
+    assert capped > 100 and inside > 50
 
 
 def with_goal(model, body):
@@ -247,12 +255,12 @@ def test_witness_stops_at_the_first_goal_state(baseline_model):
     model = cockpit_goal(baseline_model)
     explored, path = find_witness(model, EF(Pred("goal")))
     assert len(path) == 1 and path.states[-1] + 1 == len(explored.states) < 243
-    assert_cap_counts_states_up_to_the_goal(model, Pred("goal"), path)
+    assert assert_cap_counts_states_up_to_the_goal(model, Pred("goal"), path)
 
 
 def test_witness_past_the_threshold_stops_at_the_goal(baseline_model):
     """The goal, state 157, is first reached from state 64, a row that the
-    generated writer writes; a cap of 158 raises in that row after the goal."""
+    generated writer writes; a cap of 158 falls inside that row, after the goal."""
     placed = And(PAt("Alice", airplane.door), PAt("Bob", airplane.cockpit))
     placed = And(placed, PAt("Charly", airplane.cabin))
     values = And(IsIn(airplane.door, "locked"), IsIn(airplane.cockpit, "ground"))
@@ -262,7 +270,7 @@ def test_witness_past_the_threshold_stops_at_the_goal(baseline_model):
     explored, _ = find_witness(model, EF(Pred("goal")))
     assert len(explored.offsets) == 65 and explored.offsets[-1] == len(explored.targets)
     assert len(explored.index) == 158 and tables(model).step is not None
-    assert_cap_counts_states_up_to_the_goal(model, Pred("goal"), path)
+    assert assert_cap_counts_states_up_to_the_goal(model, Pred("goal"), path)
 
 
 def test_witness_of_a_temporal_goal_labels_the_whole_structure(four_eyes_model):

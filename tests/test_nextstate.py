@@ -7,9 +7,9 @@ random models (deadlocking ones among them) and on the airplane variants,
 with and without the cockpit foe-control assumption and with extra
 passengers, the two must number the same states in the same order and
 write the same edge rows with the same label objects.  The other tests pin
-what the threshold switches, where a state cap past it raises, what enters
-the source, and the exit-code contract for conditions nested deeper than
-Python compiles.
+what the threshold switches, where a state cap past it raises, that rows
+are whole at the cap, what enters the source, and the exit-code contract
+for conditions nested deeper than Python compiles.
 """
 
 import re
@@ -18,7 +18,7 @@ import pytest
 
 from children import run_python
 from genmodels import random_model, with_passengers
-from insiderctl import airplane, nextstate, transition
+from insiderctl import airplane, ctl, nextstate, transition
 from insiderctl.ctl import ExplorationLimitError, KripkeModel, check, dot_export, reachable
 from insiderctl.formula import parse_formula
 from insiderctl.model import (
@@ -39,6 +39,7 @@ from insiderctl.model import (
     PEnables,
     RequesterAt,
     StatePredicate,
+    encode,
     tables,
 )
 from insiderctl.modelfile import parse_model, serialize_model
@@ -96,6 +97,13 @@ def test_airplane_variants(name):
     assert len(k.states) == (21 if name.startswith("four_eyes") else 243 * 2 ** AIRPLANES[name][2])
 
 
+@pytest.mark.parametrize("name", AIRPLANES)
+def test_each_guard_is_said_once(name):
+    text, _, _ = nextstate.source(tables(airplane_model(*AIRPLANES[name])))
+    guards = re.findall(r"^  g\d+ = (.*)$", text, re.M)
+    assert guards and len(set(guards)) == len(guards)
+
+
 def test_three_passengers_match_the_closures(monkeypatch):
     model = airplane_model("baseline", False, 3)
     k = reachable(model)
@@ -118,11 +126,62 @@ def test_a_cap_past_the_threshold_raises_where_the_closures_do(monkeypatch, cap)
     assert generated == outcome() == (243 if cap == 243 else f"state space exceeds the cap of {cap} states")
 
 
+def whole_rows(monkeypatch) -> list:
+    """Have ``ctl`` check after each row it writes that the row is whole;
+    returns the list of each row's ``(states before, states after)``."""
+    rows, write = [], transition.successors
+
+    def checked(model, v, x):
+        before = len(x.states)
+        out = write(model, v, x)
+        assert len(x.labels) == len(x.targets) == x.offsets[-1] and out.stop == len(x.targets)
+        rows.append((before, len(x.states)))
+        return out
+
+    monkeypatch.setattr(ctl, "successors", checked)
+    return rows
+
+
+def assert_raises_after_the_crossing_row(model, cap, rows) -> None:
+    rows.clear()
+    with pytest.raises(ExplorationLimitError) as exc:
+        reachable(model, max_states=cap)
+    assert str(exc.value) == f"state space exceeds the cap of {cap} states"
+    before, after = rows[-1]
+    assert before < cap < after and all(b <= cap for _, b in rows[:-1])
+
+
+def test_rows_are_whole_at_the_cap(monkeypatch):
+    """A cap that falls inside a row raises after that row, written whole:
+    on the baseline airplane past the threshold, and on every random model
+    of at least 10 states, inside its last row that finds two states."""
+    rows = whole_rows(monkeypatch)
+    for cap in (65, 100, 242):
+        assert_raises_after_the_crossing_row(airplane_model("baseline", False, 0), cap, rows)
+    capped = 0
+    for seed in range(200):
+        rows.clear()
+        model = random_model(seed)
+        if len(reachable(model).states) >= 10:
+            cap = [before for before, after in rows if after - before > 1][-1] + 1
+            assert_raises_after_the_crossing_row(model, cap, rows)
+            capped += 1
+    assert capped == 37
+
+
 def test_successors_switches_at_the_threshold():
+    """A model gets its writer at the row ``THRESHOLD - 1`` of one
+    exploration; rows of separate explorations do not add up."""
     small, large = airplane_model("four_eyes", False, 2), airplane_model("baseline", False, 0)
-    assert len(reachable(small).states) < transition.THRESHOLD < len(reachable(large).states)
-    assert tables(small).step is None and tables(small).expanded == 21
-    assert tables(large).step is not None and tables(large).expanded == transition.THRESHOLD
+    for _ in range(4):
+        assert len(reachable(small).states) < transition.THRESHOLD
+    assert tables(small).step is None
+    x = transition.Exploration(large, encode(large, large.initial))
+    for i in range(transition.THRESHOLD - 1):
+        transition.successors(large, x.states[i], x)
+    assert len(x.states) > transition.THRESHOLD and tables(large).step is None
+    transition.successors(large, x.states[transition.THRESHOLD - 1], x)
+    assert tables(large).step is not None
 
 
 def test_a_model_parsed_again_reuses_the_compiled_code():
@@ -220,15 +279,20 @@ def alternating(depth: int):
     return model, e
 
 
-def test_a_condition_deeper_than_the_compiler_keeps_the_closures():
+def test_a_condition_deeper_than_the_compiler_keeps_the_closures(monkeypatch):
+    """The failed build is tried again by each exploration that reaches
+    the threshold row, and fails again."""
     model, deep = alternating(300)
     door = model.locations[1]
     policies = {**model.policy_map, door: model.policy_map[door] | {AtomicPolicy(deep, {"put"})}}
     deep_model = model._clone(policy_variants={"baseline": policies})
-    assert nextstate.build(tables(deep_model)) is None
-    k, plain = reachable(deep_model), reachable(model)
-    assert tables(deep_model).step is None and tables(deep_model).expanded > transition.THRESHOLD
-    assert k.states == plain.states and dot_export(k) == dot_export(plain)
+    builds, build = [], nextstate.build
+    monkeypatch.setattr(nextstate, "build", lambda t: builds.append(build(t)) or builds[-1])
+    k, again = reachable(deep_model), reachable(deep_model)
+    assert len(k.states) > transition.THRESHOLD and builds == [None, None]
+    assert tables(deep_model).step is None
+    plain = reachable(model)
+    assert k.states == again.states == plain.states and dot_export(k) == dot_export(plain)
 
 
 def test_a_long_chain_compiles_flat():
