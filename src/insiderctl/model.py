@@ -775,7 +775,9 @@ class Tables:
     locations they touch, where ``move`` may go.  :func:`encode` turns a
     snapshot into a vector, and :meth:`graph` a vector into a snapshot.
     ``step`` is the model's generated row writer, once an exploration has
-    built it (see :func:`~insiderctl.transition.successors`).
+    built it (see :func:`~insiderctl.transition.successors`); ``None``
+    before the build, and ``False`` after a build whose source does not
+    compile, so that each model tries the build once.
     """
 
     def __init__(self, model: Model) -> None:

@@ -23,8 +23,9 @@ instance changes one slot of it, so :func:`successors` derives each
 successor's vector by replacing that slot and reuses one interned label per
 rule instance of the model.  It writes each state's edge row whole into an
 :class:`Exploration`, from the closures until the model has a generated row
-writer (:mod:`insiderctl.nextstate`), built at the row ``THRESHOLD - 1`` of
-an exploration; the closures stay the reference.
+writer (:mod:`insiderctl.nextstate`), built before the first row an
+exploration writes once it knows ``THRESHOLD`` states, since each known
+state is a row still to write; the closures stay the reference.
 
 The ``eval`` action exists in the action vocabulary but has no transition
 rule; policies granting only ``eval`` are flagged by :func:`lint_model`.
@@ -36,7 +37,7 @@ from .model import _EMPTY, InfraGraph, Location, Model, Tables, by_id, tables
 from .model import enables  # noqa: F401  (bench/layers.py times calls to transition.enables)
 from .record import record
 
-THRESHOLD = 64  # rows of an exploration written with closures before the model gets its own writer
+THRESHOLD = 64  # states an exploration knows before the model gets its own writer
 
 
 @record
@@ -117,14 +118,14 @@ def successors(model: Model, v: tuple, x: Exploration | None = None) -> list | r
     if x is None:
         _row(t, v, x := Exploration(model, v))
         return [*zip(x.labels, map(x.states.__getitem__, x.targets))]
-    start = len(x.targets)
-    if t.step is not None:
-        t.step(v, x)
-    else:
-        if len(x.offsets) == THRESHOLD:  # the exploration's row THRESHOLD - 1
-            from .nextstate import build  # a small exploration never loads it
+    start, step = len(x.targets), t.step
+    if step is None and len(x.states) >= THRESHOLD:  # reachable writes a row per known state
+        from .nextstate import build  # a small exploration never loads it
 
-            t.step = build(t)
+        step = t.step = build(t) or False  # False: the source does not compile
+    if step:
+        step(v, x)
+    else:
         _row(t, v, x)
     return range(start, len(x.targets))
 

@@ -7,9 +7,11 @@ random models (deadlocking ones among them) and on the airplane variants,
 with and without the cockpit foe-control assumption and with extra
 passengers, the two must number the same states in the same order and
 write the same edge rows with the same label objects.  The other tests pin
-what the threshold switches, where a state cap past it raises, that rows
-are whole at the cap, what enters the source, and the exit-code contract
-for conditions nested deeper than Python compiles.
+when ``successors`` switches to the writer (once an exploration knows
+``THRESHOLD`` states), that a default run agrees with the closures across
+that switch, where a state cap past it raises, that rows are whole at the
+cap, what enters the source, and the exit-code contract for conditions
+nested deeper than Python compiles, whose failed build is tried once.
 """
 
 import re
@@ -64,7 +66,7 @@ def assert_same_rows(model: Model) -> KripkeModel:
     closures alone; the two must agree.  Returns the closures' structure."""
     t = tables(model)
     t.step = nextstate.build(t)
-    assert t.step is not None
+    assert callable(t.step)
     generated = reachable(model)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transition, "THRESHOLD", 10**9)
@@ -107,7 +109,7 @@ def test_each_guard_is_said_once(name):
 def test_three_passengers_match_the_closures(monkeypatch):
     model = airplane_model("baseline", False, 3)
     k = reachable(model)
-    assert len(k.states) == 1944 and tables(model).step is not None
+    assert len(k.states) == 1944 and callable(tables(model).step)
     monkeypatch.setattr(transition, "THRESHOLD", 10**9)
     tables(model).step = None
     assert_same_structure(k, reachable(model))
@@ -169,19 +171,68 @@ def test_rows_are_whole_at_the_cap(monkeypatch):
     assert capped == 37
 
 
-def test_successors_switches_at_the_threshold():
-    """A model gets its writer at the row ``THRESHOLD - 1`` of one
-    exploration; rows of separate explorations do not add up."""
-    small, large = airplane_model("four_eyes", False, 2), airplane_model("baseline", False, 0)
-    for _ in range(4):
-        assert len(reachable(small).states) < transition.THRESHOLD
-    assert tables(small).step is None
+def test_successors_switches_once_the_threshold_states_are_known():
+    """A model gets its writer before the first row an exploration writes
+    once it knows ``THRESHOLD`` states: the baseline airplane's row 14, with
+    67 known.  An exploration that never knows that many, or that a cap
+    stops first, builds none, however often it runs."""
+    large = airplane_model("baseline", False, 0)
     x = transition.Exploration(large, encode(large, large.initial))
-    for i in range(transition.THRESHOLD - 1):
+    known = []
+    for i in range(20):
+        known.append(len(x.states))
         transition.successors(large, x.states[i], x)
-    assert len(x.states) > transition.THRESHOLD and tables(large).step is None
-    transition.successors(large, x.states[transition.THRESHOLD - 1], x)
-    assert tables(large).step is not None
+        assert callable(tables(large).step) == (known[-1] >= transition.THRESHOLD), i
+    assert known[13] < transition.THRESHOLD <= known[14] == 67
+
+    small = [airplane_model("four_eyes", foe, pax) for foe in (False, True) for pax in (0, 1, 2)]
+    for model in small:
+        for _ in range(2):
+            assert len(reachable(model).states) < transition.THRESHOLD
+    baseline = airplane_model("baseline", False, 0)
+    assert ctl.find_witness(baseline, parse_formula("EF eve_violates"))[1] is not None
+    randoms = [random_model(seed) for seed in range(200)]
+    randoms = [m for m in randoms if len(reachable(m).states) < transition.THRESHOLD]
+    assert len(randoms) == 190
+    for model in [*small, baseline, *randoms]:
+        assert tables(model).step is None
+
+    for cap in (1, 63, 66, 67):
+        model = airplane_model("baseline", False, 0)
+        with pytest.raises(ExplorationLimitError):
+            reachable(model, max_states=cap)
+        step = tables(model).step
+        assert callable(step) if cap == 67 else step is None, cap
+
+
+SWITCHING = {
+    **{f"airplane:{name}": AIRPLANES[name] for name in AIRPLANES},
+    **{f"random:{seed}": seed for seed in (27, 39, 45, 100, 101, 138, 156, 186, 187, 191)},
+}
+
+
+@pytest.mark.parametrize("name", SWITCHING)
+def test_a_default_run_agrees_with_the_closures_across_the_switch(monkeypatch, name):
+    """``reachable`` as it runs, switching to the writer once it knows
+    ``THRESHOLD`` states, against the closures alone: the same structure,
+    label objects, verdicts and DOT bytes.  The random seeds are the ten
+    below 200 whose models reach ``THRESHOLD`` states."""
+    if name.startswith("random:"):
+        model, goal = random_model(SWITCHING[name]), ("AG goal", "EF goal")
+    else:
+        model, goal = airplane_model(*SWITCHING[name]), ("AG eve_ok", "EF eve_violates")
+    formulas = [parse_formula(f) for f in goal]
+    k, t = reachable(model), tables(model)
+    switched = len(k.states) >= transition.THRESHOLD
+    assert callable(t.step) if switched else t.step is None
+    assert switched != name.startswith("airplane:four_eyes")
+    monkeypatch.setattr(transition, "THRESHOLD", 10**9)
+    t.step = None
+    ref = reachable(model)
+    assert t.step is None
+    assert_same_structure(k, ref)
+    assert [check(k, f).holds for f in formulas] == [check(ref, f).holds for f in formulas]
+    assert dot_export(k) == dot_export(ref)
 
 
 def test_a_model_parsed_again_reuses_the_compiled_code():
@@ -257,7 +308,7 @@ def test_hostile_names_never_enter_the_source(monkeypatch):
     formulas = [parse_formula(f) for f in ("AG calm", "EF !calm", "AG (EF safe)", "EG !safe")]
     generated = reachable(hostile_model())
     assert len(generated.states) > transition.THRESHOLD
-    assert tables(generated.model).step is not None
+    assert callable(tables(generated.model).step)
     monkeypatch.setattr(transition, "THRESHOLD", 10**9)
     closures = reachable(hostile_model())
     assert tables(closures.model).step is None
@@ -280,8 +331,8 @@ def alternating(depth: int):
 
 
 def test_a_condition_deeper_than_the_compiler_keeps_the_closures(monkeypatch):
-    """The failed build is tried again by each exploration that reaches
-    the threshold row, and fails again."""
+    """The build fails once, and the model remembers it: a later
+    exploration that knows ``THRESHOLD`` states does not try again."""
     model, deep = alternating(300)
     door = model.locations[1]
     policies = {**model.policy_map, door: model.policy_map[door] | {AtomicPolicy(deep, {"put"})}}
@@ -289,8 +340,8 @@ def test_a_condition_deeper_than_the_compiler_keeps_the_closures(monkeypatch):
     builds, build = [], nextstate.build
     monkeypatch.setattr(nextstate, "build", lambda t: builds.append(build(t)) or builds[-1])
     k, again = reachable(deep_model), reachable(deep_model)
-    assert len(k.states) > transition.THRESHOLD and builds == [None, None]
-    assert tables(deep_model).step is None
+    assert len(k.states) > transition.THRESHOLD and builds == [None]
+    assert tables(deep_model).step is False
     plain = reachable(model)
     assert k.states == again.states == plain.states and dot_export(k) == dot_export(plain)
 
