@@ -11,8 +11,8 @@ Predicates run compiled over the vectors, and traces and DOT are rendered
 from them; ``KripkeModel.graph(i)`` builds a state's snapshot on request.
 State sets are ``frozenset``s of indices.
 :func:`find_witness` compiles a propositional goal with
-:func:`~insiderctl.model.vector_condition`, stops at the first state in it,
-and takes its path over the rows written.
+:func:`~insiderctl.model.vector_condition`; its witness is the first goal
+that the one path search, :func:`_breadth_first`, reaches as it writes rows.
 
 Labelling runs two primitives, each linear in states and distinct edges,
 over an index: :meth:`~KripkeModel.backward`, each state's distinct
@@ -69,7 +69,7 @@ class TraceError(ValueError):
 
 class OutEdges:
     """State ``i``'s out-edges, read-only, over a :class:`KripkeModel`'s flat
-    lists: it iterates as ``(label, j)`` pairs and equals the list of them."""
+    lists: it iterates as ``(label, j)`` pairs and has an O(1) ``len``."""
 
     __slots__ = ("labels", "targets", "start", "stop")
 
@@ -81,12 +81,6 @@ class OutEdges:
 
     def __iter__(self):
         return zip(self.labels[self.start : self.stop], self.targets[self.start : self.stop])
-
-    def __getitem__(self, i):
-        return [*self][i]
-
-    def __eq__(self, other) -> bool:
-        return [*self] == ([*other] if type(other) is OutEdges else other)
 
 
 @record
@@ -434,12 +428,16 @@ def shortest_path(
     return _first_path(_breadth_first(k, sources), sources, targets.__contains__)
 
 
-def _breadth_first(k: KripkeModel, sources):
+def _breadth_first(k: KripkeModel | Exploration, sources, write=None):
     """Yield ``(j, i, label)`` as state ``j`` is first reached, from ``i``,
-    breadth-first from the sorted ``sources`` along ``k``'s edges."""
+    breadth-first from the sorted ``sources`` along ``k``'s edges: the one
+    path search of traces and witnesses.  ``write(i)``, if given, writes
+    row ``i`` of the exploration ``k`` when the search reaches state ``i``."""
     order, labels, targets, offsets = sorted(sources), k.labels, k.targets, k.offsets
     seen = set(order)
     for i in order:  # the list grows while it is walked
+        if write:
+            write(i)
         a, b = offsets[i], offsets[i + 1]
         for label, j in zip(labels[a:b], targets[a:b]):
             if j not in seen:
@@ -523,33 +521,32 @@ def extract_trace(k: KripkeModel, formula: CtlFormula, mode: str) -> TracePath:
 def find_witness(model: Model, formula: CtlFormula, *, max_states: int | None = None) -> tuple:
     """``(k, path)``: ``extract_trace``'s witness of ``EF g`` (None if it
     fails) and the states it indexes.  For ``g`` of predicates, ``!``, ``&``
-    and ``|``, compiled by :func:`~insiderctl.model.vector_condition`, the
-    search stops at the first goal state, and ``k`` is that
-    :class:`~insiderctl.transition.Exploration`, cut back to end there; the
-    cap counts the states up to the goal.  States are numbered
-    breadth-first, so the shortest path over the rows written is the one on
-    the whole structure.  Otherwise ``k`` is ``reachable(model)``."""
+    and ``|``, compiled by :func:`~insiderctl.model.vector_condition`, it is
+    the first goal :func:`_breadth_first` reaches, writing the row of each
+    state it reaches into an :class:`~insiderctl.transition.Exploration`,
+    ``k``, cut back to end at the goal; the cap counts the states up to it.
+    The search reaches states in the order they are numbered, so the path is
+    the one on the whole structure.  Otherwise ``k`` is ``reachable(model)``."""
     _trace_rule(formula, "witness")
     if not all(isinstance(atom, Pred) for atom in leaves(formula.arg)):
         k = reachable(model, max_states=max_states)
         return k, shortest_path(k, eval_ctl(k, formula.arg))
     x = Exploration(model, encode(model, model.initial))
     goal, states = vector_condition(formula.arg, tables(model)), x.states
-    if goal(states[0], None):
-        return x, TracePath((0,), ())
-    for i, v in enumerate(states):  # the list grows while it is walked
-        before = len(states)
-        successors(model, v, x)
-        j = next((j for j in range(before, len(states)) if goal(states[j], None)), None)
-        _within(len(states) if j is None else j + 1, max_states)
-        if j is not None:  # cut back to the states up to j and the rows before i
-            path = shortest_path(x, frozenset({j}), sources=frozenset({0}))
-            for w in states[j + 1 :]:
-                del x.index[w]
-            a = x.offsets[i]
-            del states[j + 1 :], x.offsets[i + 1 :], x.targets[a:], x.labels[a:]
-            return x, path
-    return x, None
+
+    def reached(j: int) -> bool:
+        _within(j + 1, max_states)
+        return goal(states[j], None)
+
+    found = _breadth_first(x, [0], lambda i: successors(model, states[i], x))
+    path = _first_path(found, {0}, reached)
+    if path:  # cut back to the goal and the rows before its parent's (0 steps wrote none)
+        i, j = path.states[-2:]
+        for w in states[j + 1 :]:
+            del x.index[w]
+        a = x.offsets[i]
+        del states[j + 1 :], x.offsets[i + 1 :], x.targets[a:], x.labels[a:]
+    return x, path
 
 
 # ---------------------------------------------------------------------------

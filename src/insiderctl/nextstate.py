@@ -11,15 +11,14 @@ targets in the same order, new states numbered as they are first reached.
 The source holds only integers, slot indices and text written here; every
 name and value reaches it through a constants tuple.  Nothing the writer
 holds refers to the model's tables, so it forms no reference cycle.
-Models with equal sources share one code object.
+Models with equal sources share one code object, of the 32 most recently used.
 """
+
+from functools import lru_cache
 
 from .model import AllAtAuthorized, And, CountAtLeast, HasCred, HasRole, IsIn, Not, Or
 from .model import PBool, RequesterAt, Tables
 from .transition import _label
-
-_CODE: dict = {}  # source text -> code object, the most recently built last
-_KEEP = 32
 
 
 def _join(op: str, parts: list):
@@ -88,10 +87,8 @@ def source(t: Tables) -> tuple:
     def guard(action: str, k: int, rep: str):
         """The judgment of ``action`` at location ``k`` for the class ``rep``."""
         holds = _join(" or ", [_cond(c, rep, t, const) for c, _ in t.policies.get((k, action), ())])
-        if holds is not False and t.outside.get((k, action), {}).get(rep):
-            own = " + ".join(f"(x{p} == {k})" for p in t.at[rep])  # nobody else at k
-            holds = _join(" and ", [f"w.count({k}) == {own}", holds])
-        return holds
+        others = t.outside.get((k, action), {}).get(rep, ())  # a foe, denied while one is at k
+        return _join(" and ", [*(f"x{p} != {k}" for p in others), holds])
 
     target = "(j if (j := get(s := {}, -1)) >= 0 else N(s))".format  # its number, interned if new
 
@@ -166,17 +163,20 @@ def source(t: Tables) -> tuple:
     return "\n".join(["def make(G, K, C):", *body]), constants, new
 
 
+@lru_cache(maxsize=32)  # a failed compile raises, so it is not kept
+def _compiled(text: str):
+    """The code object of ``text``, shared by models with equal sources."""
+    return compile(text, "<nextstate>", "exec")
+
+
 def build(t: Tables):
     """``t``'s row writer, or ``None`` when its source does not
     compile (a condition nested deeper than Python's parser takes)."""
     try:
         text, constants, new = source(t)
-        code = _CODE.pop(text, None) or compile(text, "<nextstate>", "exec")
+        code = _compiled(text)
     except (SyntaxError, RecursionError, MemoryError):
         return None
-    _CODE[text] = code
-    if len(_CODE) > _KEEP:
-        del _CODE[next(iter(_CODE))]
     namespace: dict = {}
     exec(code, namespace)
     # Popped, so that make and the globals it runs in form no cycle.

@@ -25,6 +25,7 @@ derived from the signature.
 """
 
 import sys
+from functools import cache
 
 MISSING = object()
 
@@ -56,9 +57,6 @@ def _frozen_setattr(self, name, value):
 
 def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-_CODE: dict = {}  # generated source -> its code object, shared by equal layouts
 
 
 def _methods(fields: list, post_init: bool) -> tuple[str, list]:
@@ -97,6 +95,12 @@ def _methods(fields: list, post_init: bool) -> tuple[str, list]:
     return source, defaults
 
 
+@cache
+def _compiled(source: str):
+    """The code object of ``source``, shared by records with equal layouts."""
+    return compile(source, "<record>", "exec")
+
+
 def record(cls):
     """Class decorator; see the module docstring."""
     # A plain default stays a class attribute, as dataclasses leaves it.
@@ -106,11 +110,8 @@ def record(cls):
     }
     listed = list(fields.values())
     source, defaults = _methods(listed, hasattr(cls, "__post_init__"))
-    code = _CODE.get(source)
-    if code is None:
-        code = _CODE[source] = compile(source, "<record>", "exec")
     namespace: dict = {}
-    exec(code, {"__name__": cls.__module__}, namespace)
+    exec(_compiled(source), {"__name__": cls.__module__}, namespace)
     made = namespace["make"](object.__setattr__, *defaults)
     for fn in made:
         fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"

@@ -34,6 +34,7 @@ from insiderctl.ctl import (
     ExplorationLimitError,
     KripkeModel,
     Pred,
+    TracePath,
     check,
     dot_export,
     eval_ctl,
@@ -156,24 +157,25 @@ def test_rows_are_the_successors_in_order(row_kripkes):
     """``k.edges`` views the flat edge lists as one row per state."""
     for name, k in row_kripkes:
         for v, out in zip(k.states, k.edges):
-            assert out == [(label, k.index[s]) for label, s in successors(k.model, v)], name
+            assert list(out) == [(label, k.index[s]) for label, s in successors(k.model, v)], name
 
 
 def test_rows_behave_like_lists(row_kripkes):
-    """A row behaves like the list of ``(label, j)`` pairs it stands for,
-    and ``k.edges`` is a list built on each read."""
+    """A row iterates, again on each pass, as the ``(label, j)`` pairs of
+    its span of the flat lists, has their ``len`` and takes ``in``; and
+    ``k.edges`` is a list built on each read."""
     for name, k in row_kripkes:
-        edges, n = k.edges, len(k.states)
+        edges, n, offsets = k.edges, len(k.states), k.offsets
         lists = [list(out) for out in edges]
-        assert type(edges) is list and edges == lists and lists == edges and not edges != lists
-        for out, pairs in zip(edges, lists):
+        assert type(edges) is list and len(edges) == n
+        for i, (out, pairs) in enumerate(zip(edges, lists)):
+            a, b = offsets[i], offsets[i + 1]
+            assert pairs == list(out) == list(zip(k.labels[a:b], k.targets[a:b])), name
             assert len(out) == len(pairs) and (None, n) not in out
             if pairs:
-                assert (out[0], out[-1], out[1:]) == (pairs[0], pairs[-1], pairs[1:])
                 assert pairs[len(pairs) // 2] in out
-            with pytest.raises(IndexError):
-                out[len(pairs)]
-        assert edges.pop() == lists.pop() and len(edges) == n - 1 and len(k.edges) == n
+        edges.pop()
+        assert len(edges) == n - 1 and len(k.edges) == n
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +258,21 @@ def test_witness_stops_at_the_first_goal_state(baseline_model):
     explored, path = find_witness(model, EF(Pred("goal")))
     assert len(path) == 1 and path.states[-1] + 1 == len(explored.states) < 243
     assert assert_cap_counts_states_up_to_the_goal(model, Pred("goal"), path)
+
+
+def test_a_goal_at_state_0_is_capped_as_reachable_caps(baseline_model):
+    """With its goal at state 0, the witness counts that state against the
+    cap: a cap of 0 raises the text ``reachable`` raises, a cap of 1 gives
+    the 0-step path, with no row written."""
+    goal = EF(Pred("eve_violates"))
+    with pytest.raises(ExplorationLimitError) as exc:
+        find_witness(baseline_model, goal, max_states=0)
+    with pytest.raises(ExplorationLimitError) as expected:
+        reachable(baseline_model, max_states=0)
+    assert str(exc.value) == str(expected.value) == "state space exceeds the cap of 0 states"
+    explored, path = find_witness(baseline_model, goal, max_states=1)
+    assert path == TracePath((0,), ()) and len(explored.states) == 1
+    assert explored.offsets == [0] and explored.targets == explored.labels == []
 
 
 def test_witness_past_the_threshold_stops_at_the_goal(baseline_model):

@@ -10,8 +10,9 @@ write the same edge rows with the same label objects.  The other tests pin
 when ``successors`` switches to the writer (once an exploration knows
 ``THRESHOLD`` states), that a default run agrees with the closures across
 that switch, where a state cap past it raises, that rows are whole at the
-cap, what enters the source, and the exit-code contract for conditions
-nested deeper than Python compiles, whose failed build is tried once.
+cap, what enters the source, the compile cache, a foe-control assumption
+that excludes no one, and the exit-code contract for conditions nested
+deeper than Python compiles, whose failed build is tried once.
 """
 
 import re
@@ -236,12 +237,40 @@ def test_a_default_run_agrees_with_the_closures_across_the_switch(monkeypatch, n
 
 
 def test_a_model_parsed_again_reuses_the_compiled_code():
+    """Equal sources share one code object, and the cache keeps at most 32:
+    after 64 builds, more than 32 of them distinct, it holds 32."""
     doc = serialize_model(airplane_model("baseline", True, 1))
     first, again = (nextstate.build(tables(parse_model(doc))) for _ in range(2))
     assert first is not again and first.__code__ is again.__code__
-    for seed in range(2 * nextstate._KEEP):
+    misses = nextstate._compiled.cache_info().misses
+    for seed in range(64):
         nextstate.build(tables(random_model(seed)))
-    assert len(nextstate._CODE) <= nextstate._KEEP
+    info = nextstate._compiled.cache_info()
+    assert info.maxsize == 32 and info.misses - misses > 32 and info.currsize == 32
+
+
+def test_a_foe_with_no_one_outside_its_class_is_granted():
+    """Eve impersonates Bob, so nobody is outside the foe's class: the
+    assumption excludes no one, both engines grant Eve's and Bob's puts at
+    the cockpit, and their rows agree."""
+    cabin, cockpit = Location(0, "cabin"), Location(1, "cockpit")
+    anywhere = {AtomicPolicy(PBool(True), {"move", "put"})}
+    edges = {(cabin, cockpit)}
+    model = Model(
+        locations=(cabin, cockpit),
+        edges=edges,
+        identities=frozenset({"Bob", "Eve"}),
+        initial=InfraGraph(edges, {cabin: ("Eve",), cockpit: ("Bob",)}, {}, {}, {cockpit: "air"}),
+        policy_variants={"baseline": {cabin: anywhere, cockpit: anywhere}},
+        value_alphabet={cockpit: {"air", "ground"}},
+        insiders=(InsiderDecl("Eve", {"Bob"}, ActorPsyState("angry", {"revenge"})),),
+        assumptions=(FoeControl(cockpit, "put", "Eve"),),
+    )
+    t = tables(model)
+    assert t.outside == {(1, "put"): {"Bob": ()}}
+    k = assert_same_rows(model)
+    puts = {(label.rule, label.actor) for label in k.labels if label.loc == cockpit}
+    assert puts == {(rule, who) for rule in ("put", "put_remote") for who in ("Bob", "Eve")}
 
 
 # ---------------------------------------------------------------------------
